@@ -2,8 +2,8 @@
 
 Subcommands: gen, fool, hyperconc, mollifier, stats, verify, battery.
 All randomness derives from --seed; reports carry no timestamps, so a run is
-reproducible byte-for-byte (the PRG_THREADS environment variable may cap
-worker counts but never changes results).
+reproducible byte-for-byte.  Invalid inputs (for instance a Monte Carlo size
+below 2) end the run with a one-line error and exit status 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .hyperlab import (carbery_wright_check, zoom_ratio_check,
                        local_hyperconc_experiment)
 from .mollifier import analysis_checks_eval_batch, mollifier_eval_batch
 from .prg import choose_params, generate_batch
-from .seeding import substream, thread_cap
+from .seeding import substream
 from .statgrid import PolySampler, StatGrid, grid_csv
 
 FORMATS = ("csv", "json")
@@ -269,14 +269,16 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    thread_cap()  # validated here; results never depend on it
-    if getattr(args, "print_params", False) and args.cmd in (
-            "gen", "fool", "mollifier", "stats"):
-        coupling = "analysis" if args.cmd in ("mollifier", "stats") \
-            else "prg"
-        params = resolve_params(args, default_coupling=coupling)
-        sys.stderr.write(_json(params.describe()))
-    return COMMANDS[args.cmd](args)
+    try:
+        if getattr(args, "print_params", False) and args.cmd in (
+                "gen", "fool", "mollifier", "stats"):
+            coupling = "analysis" if args.cmd in ("mollifier", "stats") \
+                else "prg"
+            params = resolve_params(args, default_coupling=coupling)
+            sys.stderr.write(_json(params.describe()))
+        return COMMANDS[args.cmd](args)
+    except ValueError as exc:
+        raise SystemExit(f"ptfprg {args.cmd}: {exc}")
 
 
 if __name__ == "__main__":

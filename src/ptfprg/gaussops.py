@@ -35,6 +35,7 @@ __all__ = [
     "is_attenuated",
     "amplified_derivative",
     "directional_derivative",
+    "mult_close",
 ]
 
 
@@ -252,3 +253,14 @@ def directional_derivative(g: HermitePoly, y) -> HermitePoly:
             key = tuple(down)
             out[key] = out.get(key, 0.0) + c * math.sqrt(a) * y[i]
     return HermitePoly(g.n, out)
+
+
+def mult_close(a, b, nu):
+    """Elementwise a ~ b within the band e^{+-nu}: both zero, or a/b in
+    [e^-nu, e^nu], which forces equal signs."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = a / b
+    in_band = (r >= math.exp(-nu)) & (r <= math.exp(nu))
+    return in_band | ((a == 0.0) & (b == 0.0))

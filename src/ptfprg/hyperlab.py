@@ -25,7 +25,6 @@ __all__ = [
     "HyperconReport",
     "DerivSequence",
     "hypercon_check",
-    "approx_eq_mult",
     "local_hyperconc_experiment",
     "derivative_sequence",
     "derivative_ratio_experiment",
@@ -35,16 +34,6 @@ __all__ = [
 ]
 
 SWEEP = (1.0, 2.0, 4.0, 8.0)
-
-
-def approx_eq_mult(a, b, nu):
-    """Multiplicative closeness: e^-nu <= a/b <= e^nu (same sign), or both 0."""
-    if a == 0.0 and b == 0.0:
-        return True
-    if a * b <= 0.0:
-        return False
-    r = abs(a) / abs(b)
-    return math.exp(-nu) <= r <= math.exp(nu)
 
 
 @dataclass
@@ -90,9 +79,6 @@ def hypercon_check(g: HermitePoly, q, eta, trials=10_000, master_seed=0,
                           holds=norm <= eta * abs(mu) + 4.0 * err)
 
 
-_exact_zoom_split = zoom_hypervar_and_norm_batch
-
-
 def local_hyperconc_experiment(sampler: PolySampler, R, eps, beta, lam,
                                x_trials=500, inner_mode="exact",
                                inner_trials=200, master_seed=0) -> dict:
@@ -112,13 +98,13 @@ def local_hyperconc_experiment(sampler: PolySampler, R, eps, beta, lam,
     if inner_mode == "exact":
         if not sampler.dirac:
             raise ValueError("exact inner mode requires a Dirac sampler")
-        hv, n2 = _exact_zoom_split(sampler.base, lam, X, R)
+        hv, n2 = zoom_hypervar_and_norm_batch(sampler.base, lam, X, R)
     else:
         hv = np.zeros(x_trials)
         n2 = np.zeros(x_trials)
         for _ in range(inner_trials):
             f = sampler.sample()
-            fh, fn = _exact_zoom_split(f, lam, X, R)
+            fh, fn = zoom_hypervar_and_norm_batch(f, lam, X, R)
             hv += fh
             n2 += fn
         hv /= inner_trials
@@ -231,7 +217,7 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
     X = rng.standard_normal((trials, n))
 
     def zoom_n2(g, Xb):
-        _, n2 = _exact_zoom_split(g, lam, Xb, 1.0)
+        _, n2 = zoom_hypervar_and_norm_batch(g, lam, Xb, 1.0)
         return n2
 
     def zoom_hv_high(g, Xb):

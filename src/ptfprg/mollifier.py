@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
+from .gaussops import mult_close
 from .hermite import HermitePoly
 from .statgrid import StatGrid
 
 __all__ = ["SmoothStep", "sigma", "CheckSpec", "soft_check",
-           "mollifier_checks", "mollifier_eval", "mollifier_eval_batch",
-           "MollifierValue", "analysis_checks", "analysis_checks_eval",
-           "analysis_checks_eval_batch", "AnalysisCheckReport"]
+           "mollifier_checks", "mollifier_eval_batch", "MollifierValue",
+           "analysis_checks", "analysis_checks_eval_batch",
+           "AnalysisCheckReport"]
 
 
 @dataclass
@@ -152,21 +153,14 @@ def _stat_table(grid: StatGrid, X, max_col):
     return vals
 
 
-def mollifier_eval(p: HermitePoly, params, x, grid: StatGrid = None,
-                   master_seed=0, order=None) -> MollifierValue:
-    """Product of all soft checks at x, with the signed indicators.
-
-    Statistics come from the supplied grid (exact rows 0-1, shared Monte
-    Carlo caches above); the smooth-step order defaults to max(d, 4).
-    """
-    return mollifier_eval_batch(p, params, np.asarray(x, dtype=float)[None, :],
-                                grid=grid, master_seed=master_seed,
-                                order=order)[0]
-
-
 def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid = None,
                          master_seed=0, order=None) -> list:
-    """mollifier_eval over a batch of points, sharing one statistics table."""
+    """Product of all soft checks, with the signed indicators, per point.
+
+    Statistics come from the supplied grid (exact rows 0-1, shared Monte
+    Carlo caches above), one table for the whole batch; the smooth-step
+    order defaults to max(d, 4).
+    """
     if grid is None:
         grid = StatGrid(p, params, master_seed=master_seed)
     X = np.asarray(X, dtype=float)
@@ -220,53 +214,29 @@ def analysis_checks(params) -> list:
     return order
 
 
-def analysis_checks_eval(p: HermitePoly, params, x, grid: StatGrid = None,
-                         master_seed=0) -> AnalysisCheckReport:
-    """Evaluate every hard analysis check at x, reporting the first failure.
-
-    Monte Carlo rows are evaluated at their point estimates; rows 0-1 are
-    exact.
-    """
-    return analysis_checks_eval_batch(p, params,
-                                      np.asarray(x, dtype=float)[None, :],
-                                      grid=grid, master_seed=master_seed)[0]
-
-
 def analysis_checks_eval_batch(p: HermitePoly, params, X,
                                grid: StatGrid = None, master_seed=0) -> list:
+    """Every hard analysis check per point, with the first failure.
+
+    Each check is evaluated once over the whole batch.  Monte Carlo rows are
+    read at their point estimates; rows 0-1 are exact.
+    """
     if grid is None:
         grid = StatGrid(p, params, master_seed=master_seed)
     X = np.asarray(X, dtype=float)
     vals = _stat_table(grid, X, max_col=params.D)
-    thresh = math.exp(params.delta_anal)
-    order = analysis_checks(params)
-    out = []
-    for b in range(X.shape[0]):
-        results = []
-        first = None
-        for kind, i, j in order:
-            if kind == "horizontal":
-                a = float(vals[i][b, j])
-                c = float(vals[i][b, j + 1])
-                holds = _approx_eq(a, c, thresh)
-                label = f"horz[{i},{j}]"
-            else:
-                lhs = float(vals[i + 1][b, 1])
-                rhs = 100.0 * params.lambda_hat * float(vals[i][b, 2])
-                holds = lhs <= rhs or (lhs == 0.0 and rhs == 0.0)
-                label = f"diag[{i}]"
-            results.append((label, holds))
-            if not holds and first is None:
-                first = label
-        out.append(AnalysisCheckReport(results=results, first_failure=first))
-    return out
-
-
-def _approx_eq(a, b, thresh):
-    """a ~ b within the multiplicative band [1/thresh, thresh]; 0 ~ 0."""
-    if a == 0.0 and b == 0.0:
-        return True
-    if a <= 0.0 or b <= 0.0:
-        return False
-    r = a / b
-    return 1.0 / thresh <= r <= thresh
+    labels, holds = [], []
+    for kind, i, j in analysis_checks(params):
+        if kind == "horizontal":
+            labels.append(f"horz[{i},{j}]")
+            holds.append(mult_close(vals[i][:, j], vals[i][:, j + 1],
+                                    params.delta_anal))
+        else:
+            labels.append(f"diag[{i}]")
+            holds.append(vals[i + 1][:, 1]
+                         <= 100.0 * params.lambda_hat * vals[i][:, 2])
+    holds = np.array(holds).T
+    first = np.where(holds.all(axis=1), -1, (~holds).argmax(axis=1))
+    return [AnalysisCheckReport(results=list(zip(labels, row)),
+                                first_failure=labels[f] if f >= 0 else None)
+            for row, f in zip(holds.tolist(), first.tolist())]

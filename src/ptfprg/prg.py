@@ -25,10 +25,12 @@ import numpy as np
 from . import kwise
 from .seeding import substream
 
-__all__ = ["PrgParams", "PrgSample", "choose_params", "generate",
-           "generate_batch", "replacement_hybrid", "replacement_hybrid_batch"]
+__all__ = ["PrgParams", "choose_params", "generate_batch"]
 
-M_CAP = 32  # keeps the vectorized GF path on table/uint64 arithmetic
+# Caps the default M.  Only fields with m <= kwise._TABLE_MAX_M (16) use
+# lookup tables; wider ones, such as the default M = 32, run kwise's uint64
+# shift-and-reduce loop (m = 64 would fall back to scalar arithmetic).
+M_CAP = 32
 
 
 @dataclass
@@ -68,12 +70,6 @@ class PrgParams:
             "theoretical_seed_length")}
         d["seed_bits_per_sample"] = self.seed_bits_per_sample()
         return d
-
-
-@dataclass
-class PrgSample:
-    z: np.ndarray
-    seed_bits_used: int
 
 
 def lambda_hat_from(lambda_bar, eps, d, T):
@@ -140,41 +136,25 @@ def _block_coeffs(params: PrgParams, master_seed, t, count):
     return gen.integers(0, 1 << m, size=(count, wspec.k), dtype=dtype)
 
 
-def generate(params: PrgParams, master_seed) -> PrgSample:
-    """One sample of Z, deterministic given the master seed."""
-    z = generate_batch(params, master_seed, 1)[0]
-    return PrgSample(z=z, seed_bits_used=params.seed_bits_per_sample())
+def generate_batch(params: PrgParams, master_seed, count,
+                   gaussian_blocks=0) -> np.ndarray:
+    """(count, n) samples of Z; block b of every sample shares stream b.
 
-
-def generate_batch(params: PrgParams, master_seed, count) -> np.ndarray:
-    """(count, n) samples of Z; block b of every sample shares stream b."""
+    The first `gaussian_blocks` blocks are true Gaussians (from a
+    conventional high-quality generator), the rest k-wise: this is the
+    replacement-method hybrid w_t with t = gaussian_blocks.  t = 0 is the
+    generator itself and t = L a pure Gaussian sample.
+    """
     if params.L > 10**7:
         raise ValueError(f"L = {params.L} blocks is not generatable; "
                          "statistics-only parameter sets cannot be sampled")
-    spec = params.block_spec()
-    acc = np.zeros((count, params.n))
-    for t in range(params.L):
-        coeffs = _block_coeffs(params, master_seed, t, count)
-        acc += kwise.kwise_gaussian_batch(coeffs, spec)
-    return math.sqrt(params.lambda_bar) * acc
-
-
-def replacement_hybrid(params: PrgParams, t, master_seed) -> np.ndarray:
-    """Hybrid w_t: first t blocks fully Gaussian, the rest k-wise.
-
-    t = 0 reproduces generate() for the same master seed; t = L is a pure
-    Gaussian sample (from a conventional high-quality generator).
-    """
-    return replacement_hybrid_batch(params, t, master_seed, 1)[0]
-
-
-def replacement_hybrid_batch(params: PrgParams, t, master_seed, count) -> np.ndarray:
-    if not 0 <= t <= params.L:
-        raise ValueError(f"hybrid index {t} outside [0, {params.L}]")
+    if not 0 <= gaussian_blocks <= params.L:
+        raise ValueError(f"hybrid index {gaussian_blocks} outside "
+                         f"[0, {params.L}]")
     spec = params.block_spec()
     acc = np.zeros((count, params.n))
     for b in range(params.L):
-        if b < t:
+        if b < gaussian_blocks:
             gen = substream(master_seed, "hybrid-gauss", b)
             acc += gen.standard_normal((count, params.n))
         else:

@@ -8,12 +8,11 @@ in the surrounding code.
 
 from __future__ import annotations
 
-import os
 import zlib
 
 import numpy as np
 
-__all__ = ["substream", "thread_cap"]
+__all__ = ["substream"]
 
 
 def _path_ints(path):
@@ -32,15 +31,3 @@ def substream(master_seed: int, *path) -> np.random.Generator:
                                 spawn_key=_path_ints(path))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def thread_cap(default: int = 1) -> int:
-    """Parallelism cap from the PRG_THREADS environment variable.
-
-    Results never depend on this value; it only bounds worker counts.
-    """
-    raw = os.environ.get("PRG_THREADS", "")
-    try:
-        v = int(raw)
-    except ValueError:
-        return default
-    return max(1, v)

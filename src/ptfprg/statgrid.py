@@ -27,8 +27,8 @@ from .gaussops import (amplified_derivative, hypervar, zoom,
 from .hermite import HermitePoly
 from .seeding import substream
 
-__all__ = ["PolySampler", "StatEstimate", "sample_F", "StatGrid",
-           "stat_identities_check", "grid_csv"]
+__all__ = ["PolySampler", "StatGrid", "mc_average", "stat_identities_check",
+           "grid_csv"]
 
 DEFAULT_TRIALS = 10_000
 
@@ -69,17 +69,6 @@ class PolySampler:
         return f
 
 
-def sample_F(sampler: PolySampler) -> HermitePoly:
-    return sampler.sample()
-
-
-@dataclass
-class StatEstimate:
-    value: float
-    stderr: float
-    exact: bool
-
-
 def _level_values(poly: HermitePoly, X) -> np.ndarray:
     """(B, deg+1) array of per-Hermite-level values of poly on the batch."""
     deg = poly.degree()
@@ -110,6 +99,9 @@ class StatGrid:
         self.lam = params.lambda_bar
         self.R = params.R_bar
         self.master_seed = master_seed
+        if mc_trials < 2:
+            raise ValueError(f"mc_trials = {mc_trials}: a Monte Carlo row "
+                             "needs at least 2 samples for an error bar")
         self.mc_trials = mc_trials
         self._row_polys = {0: p * p, 1: self._row1_poly()}
         self._mc_rows = {}
@@ -147,11 +139,6 @@ class StatGrid:
             raise ValueError(f"grid index ({i}, {j}) outside "
                              f"[0,{self.d}] x [0,{self.D}]")
 
-    def batch(self, i, j, X):
-        """Values and standard errors of s_{i,j} on a batch of points."""
-        vals, errs, exact = self.row_batch(i, X, [j])
-        return vals[:, 0], errs[:, 0], exact
-
     def row_batch(self, i, X, cols):
         """s_{i,j} for every j in cols at once: (B, J) values and stderrs."""
         for j in cols:
@@ -177,37 +164,20 @@ class StatGrid:
         var = np.maximum(totsq / K - mean**2, 0.0)
         return mean, np.sqrt(var / K), False
 
-    def value(self, i, j, x) -> StatEstimate:
-        vals, errs, exact = self.batch(i, j, np.asarray(x, dtype=float)[None, :])
-        return StatEstimate(float(vals[0]), float(errs[0]), exact)
 
-    def stat(self, i, j, x, mode="auto", trials=None) -> StatEstimate:
-        """s_{i,j}(x).  mode: 'exact' (rows 0-1 only), 'mc', or 'auto'.
+def mc_average(p: HermitePoly, params, i, j, func, trials, master_seed, tag):
+    """Plain Monte Carlo mean and stderr of func(f) over f ~ F_{i,j}.
 
-        In 'mc' mode with explicit trials the estimator draws straight from
-        F_{i,j}; otherwise rows >= 2 reuse the shared per-row sample cache.
-        """
-        self._check_indices(i, j)
-        if mode == "exact" or (mode == "auto" and i <= 1):
-            if i > 1:
-                raise ValueError(f"exact statistics unavailable for row {i}")
-            return self.value(i, j, x)
-        if mode not in ("mc", "auto"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if trials is None and i > 1:
-            return self.value(i, j, x)
-        return self._mc_value(i, j, x, trials or self.mc_trials)
-
-    def _mc_value(self, i, j, x, trials) -> StatEstimate:
-        """Plain F_{i,j} Monte Carlo (used to cross-check the exact rows)."""
-        rng = substream(self.master_seed, "stat-mc", i, j)
-        sampler = PolySampler(self.p, i=i, j=j, R=self.R, lam=self.lam, rng=rng)
-        x = np.asarray(x, dtype=float)
-        vals = np.empty(trials)
-        for t in range(trials):
-            vals[t] = sampler.sample().eval(x) ** 2
-        return StatEstimate(float(vals.mean()),
-                            float(vals.std(ddof=1) / math.sqrt(trials)), False)
+    The reference the grid's exact rows and identities are checked against;
+    each tag draws from its own (master_seed, tag, i, j) substream.
+    """
+    rng = substream(master_seed, tag, i, j)
+    sampler = PolySampler(p, i=i, j=j, R=params.R_bar, lam=params.lambda_bar,
+                          rng=rng)
+    vals = np.empty(trials)
+    for t in range(trials):
+        vals[t] = func(sampler.sample())
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
 def stat_identities_check(p: HermitePoly, params, i, j, x, trials=2000,
@@ -226,34 +196,24 @@ def stat_identities_check(p: HermitePoly, params, i, j, x, trials=2000,
     x = np.asarray(x, dtype=float)
     lam, R = params.lambda_bar, params.R_bar
 
-    def mc_average(i_, j_, func, tag):
-        rng = substream(master_seed, tag, i_, j_)
-        sampler = PolySampler(p, i=i_, j=j_, R=R, lam=lam, rng=rng)
-        vals = np.empty(trials)
-        for t in range(trials):
-            vals[t] = func(sampler.sample())
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
-
-    def tolerance(lhs, rhs, lerr, rerr):
+    def side(gi, gj, rj, func, tag):
+        # grid value s_{gi,gj}(x) against the F_{i,rj}-average of func
+        vals, errs, _ = grid.row_batch(gi, x[None, :], [gj])
+        lhs, lerr = float(vals[0, 0]), float(errs[0, 0])
+        rhs, rerr = mc_average(p, params, i, rj, func, trials, master_seed,
+                               tag)
         # 4 sigma plus a relative floor for the Dirac (zero-variance) cases
-        return 4.0 * math.hypot(lerr, rerr) + 1e-9 * max(abs(lhs), abs(rhs))
+        tol = 4.0 * math.hypot(lerr, rerr) + 1e-9 * max(abs(lhs), abs(rhs))
+        return {"lhs": lhs, "rhs": rhs, "tol": tol,
+                "pass": abs(lhs - rhs) <= tol}
 
     report = {}
     if i + 1 <= params.d:
-        lhs = grid.stat(i + 1, 0, x, mode="auto")
-        rhs, rerr = mc_average(
-            i, 0, lambda f: hypervar(zoom(f, ZoomSpec(lam, x)), R), "ident-a")
-        tol = tolerance(lhs.value, rhs, lhs.stderr, rerr)
-        report["derivative_row"] = {
-            "lhs": lhs.value, "rhs": rhs, "tol": tol,
-            "pass": abs(lhs.value - rhs) <= tol}
-    lhs = grid.stat(i, j + 1, x, mode="auto")
-    rhs, rerr = mc_average(
-        i, j, lambda f: zoom(f, ZoomSpec(lam, x)).sq2norm(), "ident-b")
-    tol = tolerance(lhs.value, rhs, lhs.stderr, rerr)
-    report["noise_column"] = {
-        "lhs": lhs.value, "rhs": rhs, "tol": tol,
-        "pass": abs(lhs.value - rhs) <= tol}
+        report["derivative_row"] = side(
+            i + 1, 0, 0, lambda f: hypervar(zoom(f, ZoomSpec(lam, x)), R),
+            "ident-a")
+    report["noise_column"] = side(
+        i, j + 1, j, lambda f: zoom(f, ZoomSpec(lam, x)).sq2norm(), "ident-b")
     report["pass"] = all(v["pass"] for v in report.values() if isinstance(v, dict))
     return report
 

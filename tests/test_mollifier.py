@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptfprg.gaussops import mult_close
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.mollifier import (CheckSpec, SmoothStep, analysis_checks,
-                              analysis_checks_eval, analysis_checks_eval_batch,
-                              mollifier_checks, mollifier_eval,
+                              analysis_checks_eval_batch, mollifier_checks,
                               mollifier_eval_batch, sigma, soft_check)
 from ptfprg.prg import choose_params
 from ptfprg.statgrid import StatGrid
@@ -122,7 +122,8 @@ class TestMollifierEval:
     def test_constant_poly_gives_one(self):
         params = choose_params(2, 2, 0.2, coupling="analysis")
         p = HermitePoly.constant(2, 2.5)
-        mv = mollifier_eval(p, params, np.array([0.2, -0.7]), master_seed=1)
+        mv = mollifier_eval_batch(p, params, np.array([[0.2, -0.7]]),
+                                  master_seed=1)[0]
         assert mv.value == 1.0
         assert mv.sign == 1
         assert mv.indicator_plus == 1.0 and mv.indicator_minus == 0.0
@@ -153,9 +154,9 @@ class TestMollifierEval:
     def test_signed_indicators(self):
         params = choose_params(1, 1, 0.2, coupling="analysis")
         p = HermitePoly(1, {(1,): 1.0})  # sign flips at 0
-        for xv, sign in ((2.0, 1), (-2.0, -1)):
-            mv = mollifier_eval(p, params, np.array([xv]), master_seed=4)
-            assert mv.sign == sign
+        mvs = mollifier_eval_batch(p, params, np.array([[2.0], [-2.0]]),
+                                   master_seed=4)
+        assert [mv.sign for mv in mvs] == [1, -1]
 
 
 class TestAnalysisChecks:
@@ -174,7 +175,8 @@ class TestAnalysisChecks:
     def test_constant_poly_all_hold(self):
         params = choose_params(2, 2, 0.2, coupling="analysis")
         p = HermitePoly.constant(2, -1.5)
-        rep = analysis_checks_eval(p, params, np.zeros(2), master_seed=5)
+        rep = analysis_checks_eval_batch(p, params, np.zeros((1, 2)),
+                                         master_seed=5)[0]
         assert rep.all_hold
         assert rep.first_failure is None
 
@@ -193,10 +195,30 @@ class TestAnalysisChecks:
         params = choose_params(2, 2, 0.2, lambda_exp=2.0)
         p = random_poly(2, 2, RNG)
         grid = StatGrid(p, params, master_seed=7, mc_trials=200)
-        rep = analysis_checks_eval(p, params, RNG.standard_normal(2),
-                                   grid=grid)
+        rep = analysis_checks_eval_batch(p, params, RNG.standard_normal((1, 2)),
+                                         grid=grid)[0]
         failed = [label for label, holds in rep.results if not holds]
         assert rep.first_failure == (failed[0] if failed else None)
+
+    def test_batch_matches_per_point_loop(self):
+        params = choose_params(2, 2, 0.2, lambda_exp=2.0)
+        p = random_poly(2, 2, np.random.default_rng(51))
+        grid = StatGrid(p, params, master_seed=9, mc_trials=200)
+        X = np.random.default_rng(52).standard_normal((6, 2))
+        cols = list(range(params.D + 1))
+        s = [grid.row_batch(i, X, cols)[0] for i in range(params.d + 1)]
+        reps = analysis_checks_eval_batch(p, params, X, grid=grid)
+        for b, rep in enumerate(reps):
+            want = []
+            for kind, i, j in analysis_checks(params):
+                if kind == "horizontal":
+                    want.append((f"horz[{i},{j}]", bool(mult_close(
+                        s[i][b, j], s[i][b, j + 1], params.delta_anal))))
+                else:
+                    want.append((f"diag[{i}]", bool(
+                        s[i + 1][b, 1] <= 100 * params.lambda_hat * s[i][b, 2])))
+            assert rep.results == want
+        assert any(not r.all_hold for r in reps)
 
     def test_theorem_regime_failure_rate(self):
         # at the coupled parameters the per-check failure frequency stays

@@ -7,8 +7,7 @@ from scipy.stats import kstest
 from ptfprg import kwise
 from ptfprg.battery import sign_expectation
 from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.prg import (choose_params, generate, generate_batch,
-                        replacement_hybrid, replacement_hybrid_batch)
+from ptfprg.prg import choose_params, generate_batch
 from ptfprg.seeding import substream
 
 
@@ -82,14 +81,13 @@ class TestGenerate:
 
     def test_single_equals_batch_head(self):
         p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
-        s = generate(p, 11)
-        assert np.array_equal(s.z, generate_batch(p, 11, 3)[0])
+        assert np.array_equal(generate_batch(p, 11, 1)[0],
+                              generate_batch(p, 11, 3)[0])
 
     def test_seed_accounting(self):
         p = choose_params(5, 2, 0.25, lambda_exp=2.0, M=16)
-        s = generate(p, 0)
         per_block = kwise.gaussian_seed_length(p.block_spec())
-        assert s.seed_bits_used == p.L * per_block
+        assert p.seed_bits_per_sample() == p.L * per_block
 
     def test_unit_variance(self):
         p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
@@ -99,27 +97,64 @@ class TestGenerate:
             assert abs(Z[:, i].var(ddof=1) - 1.0) <= 4 * err + 2.0**-8
 
 
+# generate_batch(GOLDEN_PARAMS, 7, 5, gaussian_blocks=t) before the generator
+# and its hybrids were folded into one function (12 significant digits); the
+# stream layout is ("block", b) for k-wise and ("hybrid-gauss", b) for
+# Gaussian blocks.
+GOLDEN_PARAMS = dict(n=3, d=1, eps=0.5, lambda_exp=2.0, M=16)  # L = 4
+GOLDEN = {
+    0: [[-1.44493012967, -0.0192765226974, -0.0218745180672],
+        [1.22973722516, -0.0163245671946, 1.10090912594],
+        [-1.35173193262, -1.04740062172, -0.469688209846],
+        [0.998315834732, 0.281068616493, -1.06134917288],
+        [0.351737789159, -2.02765946836, -1.20578851849]],
+    1: [[-0.605442491086, 0.26826094515, -0.573056444312],
+        [1.81820615526, 1.01308561799, 0.951527088725],
+        [-1.86610567669, -0.0464182178721, -0.631071328283],
+        [0.16144548422, 0.20210822254, 0.21098063055],
+        [1.23331668228, -0.729051611905, -1.16461113071]],
+    2: [[0.1763584588, 0.72620793734, -0.708289388157],
+        [1.31933215399, 0.911071948391, -0.0725198946742],
+        [-0.858164232524, -0.446364735876, -0.41526765973],
+        [1.57690927689, -1.07625608378, -0.313998703754],
+        [0.336929089358, -0.218085487267, -2.23369590853]],
+    4: [[0.709264195415, -0.0509736659144, -1.24765917798],
+        [0.190796596357, 1.82429019398, -1.02155050078],
+        [-1.71706467073, -0.754315661204, -0.338370931399],
+        [0.823421786268, 0.00294484435633, -0.420268025924],
+        [-0.560438045117, 0.0253732389125, 0.206697180854]],
+}
+
+
 class TestReplacementHybrid:
     def test_t0_reproduces_generate(self):
-        p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
-        assert np.array_equal(replacement_hybrid_batch(p, 0, 7, 5),
-                              generate_batch(p, 7, 5))
+        p = choose_params(**GOLDEN_PARAMS)
+        np.testing.assert_allclose(generate_batch(p, 7, 5), GOLDEN[0],
+                                   rtol=1e-11, atol=1e-12)
+
+    def test_golden_hybrids(self):
+        p = choose_params(**GOLDEN_PARAMS)
+        for t in (1, p.L // 2, p.L):
+            np.testing.assert_allclose(
+                generate_batch(p, 7, 5, gaussian_blocks=t), GOLDEN[t],
+                rtol=1e-11, atol=1e-12)
 
     def test_tL_is_gaussian(self):
         p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
-        W = replacement_hybrid_batch(p, p.L, 3, 10_000)
+        W = generate_batch(p, 3, 10_000, gaussian_blocks=p.L)
         for i in range(3):
             assert kstest(W[:, i], "norm").pvalue >= 0.01
 
     def test_out_of_range(self):
         p = choose_params(2, 1, 0.5, lambda_exp=1.0, M=16)
-        with pytest.raises(ValueError):
-            replacement_hybrid(p, p.L + 1, 0)
+        for t in (-1, p.L + 1):
+            with pytest.raises(ValueError):
+                generate_batch(p, 0, 1, gaussian_blocks=t)
 
     def test_single_matches_batch(self):
         p = choose_params(2, 1, 0.5, lambda_exp=1.0, M=16)
-        w = replacement_hybrid(p, 2, 5)
-        assert np.array_equal(w, replacement_hybrid_batch(p, 2, 5, 2)[0])
+        assert np.array_equal(generate_batch(p, 5, 1, gaussian_blocks=2)[0],
+                              generate_batch(p, 5, 2, gaussian_blocks=2)[0])
 
     def test_telescoping_bracket(self):
         # sign expectations along the hybrid chain stay between the endpoint
@@ -130,7 +165,7 @@ class TestReplacementHybrid:
         ests = {}
         errs = {}
         for t in (0, 1, p.L // 2, p.L):
-            W = replacement_hybrid_batch(p, t, 23, samples)
+            W = generate_batch(p, 23, samples, gaussian_blocks=t)
             ests[t], errs[t] = sign_expectation(poly, W)
         lo = min(ests[0], ests[p.L]) - 4 * max(errs.values()) * 2
         hi = max(ests[0], ests[p.L]) + 4 * max(errs.values()) * 2

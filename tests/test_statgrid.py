@@ -7,7 +7,7 @@ from ptfprg.gaussops import ZoomSpec, hypervar, zoom
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.prg import choose_params
 from ptfprg.seeding import substream
-from ptfprg.statgrid import (PolySampler, StatGrid, grid_csv, sample_F,
+from ptfprg.statgrid import (PolySampler, StatGrid, grid_csv, mc_average,
                              stat_identities_check)
 
 RNG = np.random.default_rng(40)
@@ -17,32 +17,38 @@ def make_params(n=2, d=2, eps=0.2):
     return choose_params(n, d, eps, lambda_exp=1.0, M=16)
 
 
+def cell(grid, i, j, x):
+    """s_{i,j}(x) and its stderr, read through row_batch."""
+    vals, errs, _ = grid.row_batch(i, np.asarray(x, dtype=float)[None, :], [j])
+    return vals[0, 0], errs[0, 0]
+
+
 class TestPolySampler:
     def test_dirac_returns_base(self):
         p = random_poly(2, 2, RNG)
         s = PolySampler(p)
         assert s.dirac
-        assert sample_F(s).coeffs == p.coeffs
+        assert s.sample().coeffs == p.coeffs
 
     def test_derivative_beyond_degree_is_zero(self):
         p = random_poly(2, 2, RNG)
         s = PolySampler(p, i=p.degree() + 1, lam=0.3, R=2.0,
                         rng=np.random.default_rng(1))
-        assert sample_F(s).coeffs == {}
+        assert s.sample().coeffs == {}
 
     def test_degree_bound(self):
         p = random_poly(2, 3, RNG)
         for i in range(4):
             s = PolySampler(p, i=i, j=1, lam=0.4, R=3.0,
                             rng=np.random.default_rng(i))
-            f = sample_F(s)
+            f = s.sample()
             if f.coeffs:
                 assert f.degree() <= p.degree() - i
 
     def test_zoom_steps_keep_dimension(self):
         p = random_poly(3, 2, RNG)
         s = PolySampler(p, i=0, j=3, lam=0.5, rng=np.random.default_rng(2))
-        assert sample_F(s).n == 3
+        assert s.sample().n == 3
 
     def test_linear_base_derivative_second_moment(self):
         # for a linear base the one-derivative samples are constants whose
@@ -50,7 +56,7 @@ class TestPolySampler:
         R, lam = 3.0, 0.25
         p = HermitePoly(1, {(1,): 1.0})
         s = PolySampler(p, i=1, lam=lam, R=R, rng=np.random.default_rng(3))
-        vals = np.array([sample_F(s).mean() ** 2 for _ in range(4000)])
+        vals = np.array([s.sample().mean() ** 2 for _ in range(4000)])
         err = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - R * R * lam) <= 4 * err
 
@@ -59,11 +65,11 @@ class TestStatValues:
     def test_s00_is_p_squared(self):
         p = random_poly(2, 2, RNG)
         grid = StatGrid(p, make_params(), master_seed=1)
-        for _ in range(5):
-            x = RNG.standard_normal(2)
-            est = grid.stat(0, 0, x)
-            assert est.exact
-            assert est.value == pytest.approx(p.eval(x) ** 2, rel=1e-10)
+        X = RNG.standard_normal((5, 2))
+        vals, errs, exact = grid.row_batch(0, X, [0])
+        assert exact and not errs.any()
+        for x, v in zip(X, vals[:, 0]):
+            assert v == pytest.approx(p.eval(x) ** 2, rel=1e-10)
 
     def test_row1_column0_is_zoom_hypervariance(self):
         p = random_poly(2, 2, RNG)
@@ -71,15 +77,15 @@ class TestStatValues:
         grid = StatGrid(p, params, master_seed=1)
         x = RNG.standard_normal(2)
         want = hypervar(zoom(p, ZoomSpec(params.lambda_bar, x)), params.R_bar)
-        assert grid.stat(1, 0, x).value == pytest.approx(want, rel=1e-9)
+        assert cell(grid, 1, 0, x)[0] == pytest.approx(want, rel=1e-9)
 
     def test_bottom_row_constant_across_points(self):
         p = random_poly(2, 2, RNG)
         params = make_params()
         grid = StatGrid(p, params, master_seed=2, mc_trials=300)
-        a = grid.stat(2, 0, np.array([0.0, 0.0]))
-        b = grid.stat(2, 3, np.array([5.0, -2.0]))
-        assert a.value == b.value  # constants share one cache, all columns
+        a = cell(grid, 2, 0, np.array([0.0, 0.0]))
+        b = cell(grid, 2, 3, np.array([5.0, -2.0]))
+        assert a[0] == b[0]  # constants share one cache, all columns
 
     def test_nonnegative(self):
         p = random_poly(2, 2, RNG)
@@ -101,27 +107,31 @@ class TestStatValues:
         grid = StatGrid(p, params, master_seed=5, mc_trials=100)
         x = np.zeros(2)
         with pytest.raises(ValueError):
-            grid.stat(3, 0, x)  # row above d
+            cell(grid, 3, 0, x)  # row above d
         with pytest.raises(ValueError):
-            grid.stat(0, params.D + 1, x)
+            cell(grid, 0, params.D + 1, x)
         with pytest.raises(ValueError):
-            grid.stat(2, 0, x, mode="exact")
+            grid.exact_row_poly(2)
+        for trials in (0, 1):  # no error bar from fewer than 2 samples
+            with pytest.raises(ValueError):
+                StatGrid(p, params, mc_trials=trials)
 
     def test_mc_brackets_exact_rows(self):
         p = random_poly(2, 2, RNG)
         params = make_params()
         grid = StatGrid(p, params, master_seed=6)
         x = np.array([0.4, -1.1])
-        exact = grid.stat(0, 1, x, mode="exact")
-        mc = grid.stat(0, 1, x, mode="mc", trials=3000)
-        assert abs(mc.value - exact.value) <= 4 * mc.stderr
+        exact, _ = cell(grid, 0, 1, x)
+        mc, err = mc_average(p, params, 0, 1, lambda f: f.eval(x) ** 2, 3000,
+                             6, "stat-mc")
+        assert abs(mc - exact) <= 4 * err
 
     def test_constant_base_gives_zero_rows(self):
         p = HermitePoly.constant(2, 3.0)
         grid = StatGrid(p, make_params(), master_seed=7, mc_trials=100)
         x = np.zeros(2)
-        assert grid.stat(1, 0, x).value == 0.0
-        assert grid.stat(2, 2, x).value == 0.0
+        assert cell(grid, 1, 0, x)[0] == 0.0
+        assert cell(grid, 2, 2, x)[0] == 0.0
 
 
 class TestIdentities:
