@@ -217,12 +217,14 @@ def neighbor_hypervariance_report(p, params, x_count, master_seed, cols=None,
     checked = 0
     for i in range(min(2, params.d)):
         base = grid.exact_row_poly(i)
-        for j in cols:
+        b_row, b_err_row, _ = grid.row_batch(i + 1, X, cols)
+        for c, j in enumerate(cols):
             s_ij = noise_op(base, grid.column_rho(j))
             lhs, _ = zoom_hypervar_and_norm_batch(s_ij, lam, X, R0)
+            # one column per call: a wider product changes row 0's last bits
             a, a_err, _ = grid.row_batch(i, X, [j + 1])
-            b, b_err, _ = grid.row_batch(i + 1, X, [j])
-            a, a_err, b, b_err = a[:, 0], a_err[:, 0], b[:, 0], b_err[:, 0]
+            a, a_err = a[:, 0], a_err[:, 0]
+            b, b_err = b_row[:, c], b_err_row[:, c]
             rhs = 8.0 * (a + b) * b
             sig = 8.0 * np.sqrt((b * a_err) ** 2 + ((a + 2 * b) * b_err) ** 2)
             tol = 4.0 * sig + 1e-9 * np.maximum(np.abs(rhs), np.abs(lhs))

@@ -10,10 +10,13 @@ coordinates.
 
 The field GF(2^m) uses a fixed irreducible polynomial per m (table below,
 m <= 64) so that the integer expansion layer is bit-exact across platforms.
+Evaluation at a fixed point is GF(2)-linear in the coefficients, so the batch
+path, for every m, XORs one table row per coefficient byte.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +60,9 @@ IRREDUCIBLE = {
     62: 0x4000000020000001, 63: 0x8000000000000003, 64: 0x1000000000000001B,
 }
 
-_TABLE_MAX_M = 16  # exp/log tables kept up to 2^16 entries
+_TABLE_MAX_M = 16  # unused here; perfbench/tracer.py still reads it
+
+_BLOCK_ROWS = 4096  # expand_batch gathers this many samples at a time
 
 
 @dataclass
@@ -139,89 +144,6 @@ def gf_mul(a: int, b: int, m: int) -> int:
     return r
 
 
-class _GFVec:
-    """Vectorized GF(2^m) multiplication by constants, for m <= 64.
-
-    For m <= 16, sentinel-extended exp/log tables make a constant multiply
-    two gathers and an add with no masking or modulo: log(0) is stored as
-    the sentinel 2q, and the exp table is zero-padded out to 4q, so any
-    operand or constant equal to zero lands in the zero region.  Larger m
-    uses a shift-and-reduce loop on uint64 arrays (exact up to m = 63;
-    m = 64 falls back to scalar arithmetic).
-    """
-
-    def __init__(self, m):
-        self.m = m
-        self.red = IRREDUCIBLE[m]
-        self.q = (1 << m) - 1
-        self.exp3 = self.log_s = None
-        if m <= _TABLE_MAX_M:
-            self._build_tables()
-
-    def _build_tables(self):
-        m, q = self.m, self.q
-        log_s = np.full(q + 1, 2 * q, dtype=np.int32)  # sentinel for 0
-        exp3 = np.zeros(4 * q + 2, dtype=np.uint32)
-        if m == 1:
-            log_s[1] = 0
-            exp3[0] = 1
-            self.exp3, self.log_s = exp3, log_s
-            return
-        for gen in range(2, 1 << m):
-            v = 1
-            ok = True
-            log_s[1:] = 2 * q
-            for i in range(q):
-                if log_s[v] != 2 * q:
-                    ok = False
-                    break
-                log_s[v] = i
-                exp3[i] = v
-                v = gf_mul(v, gen, m)
-            if ok and v == 1:
-                exp3[q : 2 * q] = exp3[:q]
-                self.exp3, self.log_s = exp3, log_s
-                return
-        raise RuntimeError(f"no generator found for GF(2^{self.m})")
-
-    def log_const(self, c: int) -> int:
-        """Table index of a constant; zero maps to the sentinel."""
-        return int(self.log_s[c])
-
-    def mul_const(self, a: np.ndarray, c: int) -> np.ndarray:
-        """Elementwise a[i] * c in GF(2^m); a is an unsigned integer array."""
-        if self.exp3 is not None:
-            return self.exp3[self.log_s[a] + self.log_const(c)].astype(a.dtype)
-        if c == 0:
-            return np.zeros_like(a)
-        if self.m > 63:  # reduction polynomial would not fit a uint64
-            return np.array([gf_mul(int(v), c, self.m) for v in a.ravel()],
-                            dtype=np.uint64).reshape(a.shape)
-        out = np.zeros_like(a)
-        acc = a.astype(np.uint64).copy()
-        red = np.uint64(self.red)
-        top = np.uint64(1) << np.uint64(self.m)
-        cc = c
-        while cc:
-            if cc & 1:
-                out ^= acc
-            cc >>= 1
-            acc <<= np.uint64(1)
-            hi = (acc & top) != 0
-            acc[hi] ^= red
-        return out
-
-
-_GFVEC_CACHE = {}
-
-
-def _gfvec(m):
-    gv = _GFVEC_CACHE.get(m)
-    if gv is None:
-        gv = _GFVEC_CACHE[m] = _GFVec(m)
-    return gv
-
-
 # -- expansion ---------------------------------------------------------------
 
 def _split_coeffs(seed: KWiseSeed, spec: KWiseSpec):
@@ -252,100 +174,100 @@ def expand(seed: KWiseSeed, spec: KWiseSpec):
     return out
 
 
-def _contribution_tables(gv, spec, _cache={}):
-    """T[j][c, i] = c * x_i^j over GF(2^m), as uint16 lookup tables.
+@functools.lru_cache(maxsize=1)
+def _byte_tables(m, k, n):
+    """T[j, b, v, i] = (v << 8b) * x_i^j over GF(2^m), in the word dtype.
 
-    One spec's tables are kept at a time (they can run to ~100 MB for the
-    widest generator configurations).
+    Evaluation at a point is GF(2)-linear in the coefficient, so a word's
+    contribution is the XOR of its bytes' rows (Plank, Greenan & Miller,
+    FAST 2013).  Row v of byte b is filled by XOR doubling from the basis
+    values 2^t * x_i^j, t = 8b..8b+7; rows past bit m - 1 stay zero.
     """
-    key = (gv.m, spec.k, spec.n)
-    got = _cache.get(key)
-    if got is None:
-        logpow = np.empty((spec.k, spec.n), dtype=np.int32)
-        for i in range(spec.n):
-            p = 1
-            for j in range(spec.k):
-                logpow[j, i] = gv.log_const(p)
-                p = gf_mul(p, i, gv.m)
-        all_logs = gv.log_s[np.arange(gv.q + 1)]
-        got = [gv.exp3[all_logs[:, None] + logpow[j][None, :]].astype(np.uint16)
-               for j in range(spec.k)]
-        _cache.clear()
-        _cache[key] = got
-    return got
+    dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.uint64
+    basis = np.empty((k, n), dtype=np.uint64)  # x_i^j, then 2^t * x_i^j
+    for i in range(n):
+        p = 1
+        for j in range(k):
+            basis[j, i] = p
+            p = gf_mul(p, i, m)
+    mask, low = np.uint64((1 << m) - 1), np.uint64(IRREDUCIBLE[m] ^ (1 << m))
+    T = np.zeros((k, (m + 7) // 8, 256, n), dtype=dtype)
+    for t in range(m):
+        b, lo = t // 8, 1 << (t % 8)
+        T[:, b, lo:2 * lo] = T[:, b, :lo] ^ basis[:, None, :].astype(dtype)
+        # times x: shift left, reducing when bit m - 1 falls out
+        basis = ((basis << np.uint64(1)) & mask) ^ (basis >> np.uint64(m - 1)) * low
+    T.flags.writeable = False  # shared by every call through the cache
+    return T
 
 
 def expand_batch(coeffs: np.ndarray, spec: KWiseSpec) -> np.ndarray:
     """Vectorized expand for a (S, k) array of coefficient words.
 
     word[s, i] = XOR_j coeffs[s, j] * x_i^j over GF(2^m), truncated to the
-    top M bits.  For m <= 16 each coefficient contributes through one table
-    gather; larger fields fall back to Horner with vector multiplies.
+    top M bits: each coefficient byte contributes one row gather from the
+    spec's byte-split tables, for every field width m <= 64.
     """
     m = field_width(spec)
     if coeffs.shape[1] != spec.k:
         raise ValueError("coefficient array has wrong width")
-    gv = _gfvec(m)
+    T = _byte_tables(m, spec.k, spec.n)
+    dtype = T.dtype
     S = coeffs.shape[0]
-    if gv.exp3 is not None:
-        tables = _contribution_tables(gv, spec)
-        acc = np.zeros((S, spec.n), dtype=np.uint16)
-        for j in range(spec.k):
-            acc ^= tables[j][coeffs[:, j]]
-        return (acc >> np.uint16(m - spec.M)).astype(np.uint64)
     out = np.empty((S, spec.n), dtype=np.uint64)
-    for point in range(spec.n):
-        acc = np.zeros(S, dtype=np.uint64)
-        for j in range(spec.k - 1, -1, -1):  # Horner, highest first
-            acc = gv.mul_const(acc, point) ^ coeffs[:, j].astype(np.uint64)
-        out[:, point] = acc >> np.uint64(m - spec.M)
+    acc = np.empty((min(S, _BLOCK_ROWS), spec.n), dtype=dtype)
+    buf = np.empty_like(acc)
+    for r0 in range(0, S, _BLOCK_ROWS):
+        c = np.ascontiguousarray(coeffs[r0:r0 + _BLOCK_ROWS],
+                                 dtype=dtype.newbyteorder("<"))
+        rows = c.shape[0]
+        idx = c.view(np.uint8).reshape(rows, spec.k, -1).transpose(1, 2, 0)
+        a, g = acc[:rows], buf[:rows]
+        a[...] = 0
+        for j in range(spec.k):
+            for b in range(T.shape[1]):
+                np.take(T[j, b], idx[j, b], axis=0, out=g, mode="clip")
+                a ^= g
+        out[r0:r0 + rows] = a >> dtype.type(m - spec.M)
     return out
 
 
 # -- Box-Muller --------------------------------------------------------------
 
 def to_near_gaussian(words, M):
-    """Box-Muller on consecutive word pairs.
+    """Box-Muller, cosine branch, on consecutive word pairs.
 
     Words are rescaled to (0, 1] as (u+1)/2^M (avoiding log 0); the pair
-    (u1, u2) maps to (r cos(2 pi u2), r sin(2 pi u2)) with r = sqrt(-2 ln u1).
-    Output length equals input length; marginals converge to N(0,1) as M
-    grows, with discretization error Theta(2^{-M/2}).
+    (u1, u2) maps to r cos(2 pi u2) with r = sqrt(-2 ln u1), so the output
+    has half as many entries as the input.  Marginals converge to N(0,1) as
+    M grows, with discretization error Theta(2^{-M/2}).
     """
     w = np.asarray(words, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] % 2:
         raise ValueError("even number of words required")
     u = (w + 1.0) * 2.0 ** (-M)
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * math.pi * u2
-    out = np.empty_like(w)
-    out[..., 0::2] = r * np.cos(ang)
-    out[..., 1::2] = r * np.sin(ang)
-    return out
+    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    return r * np.cos(2.0 * math.pi * u[..., 1::2])
 
 
 def kwise_gaussian_vector(seed: KWiseSeed, spec: KWiseSpec) -> np.ndarray:
     """n near-Gaussians, any spec.k of them jointly independent.
 
     Two words per coordinate (the expand layer runs at 2k, 2n); each
-    coordinate keeps the cosine branch of its own Box-Muller pair.
+    coordinate is the cosine branch of its own Box-Muller pair.
     """
     if spec.M < 2 or spec.M % 2:
         raise ValueError("Box-Muller conversion requires even M >= 2")
     words = expand(seed, gaussian_word_spec(spec))
-    z = to_near_gaussian(np.asarray(words, dtype=np.float64), spec.M)
-    return z[0::2]
+    return to_near_gaussian(words, spec.M)
 
 
 def kwise_gaussian_batch(coeffs: np.ndarray, spec: KWiseSpec) -> np.ndarray:
     """Vectorized kwise_gaussian_vector: (S, 2k) coefficient words -> (S, n)."""
     if spec.M < 2 or spec.M % 2:
         raise ValueError("Box-Muller conversion requires even M >= 2")
-    words = expand_batch(coeffs, gaussian_word_spec(spec))
-    z = to_near_gaussian(words, spec.M)
-    return z[:, 0::2]
+    return to_near_gaussian(expand_batch(coeffs, gaussian_word_spec(spec)),
+                            spec.M)
 
 
 def enumerate_seeds(spec: KWiseSpec):

@@ -27,9 +27,8 @@ from .seeding import substream
 
 __all__ = ["PrgParams", "choose_params", "generate_batch"]
 
-# Caps the default M.  Only fields with m <= kwise._TABLE_MAX_M (16) use
-# lookup tables; wider ones, such as the default M = 32, run kwise's uint64
-# shift-and-reduce loop (m = 64 would fall back to scalar arithmetic).
+# Caps the default M.  Every field width m <= 64 expands through the same
+# byte-split tables, whose size grows with ceil(m/8) and the word dtype.
 M_CAP = 32
 
 
@@ -104,7 +103,11 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
         raise ValueError(f"L = {L} blocks overflows a 64-bit count")
     lam = 1.0 / L  # renormalize so the block sum has unit variance exactly
 
-    M_formula = 2 * math.ceil(3 * d * math.log2(d * L * n / eps))
+    try:
+        log_ratio = math.log2(d * L * n / eps)
+        M_formula = 2 * math.ceil(3 * d * log_ratio)
+    except OverflowError:  # analysis-scale L with a tiny eps
+        raise ValueError("d L n / eps overflows; parameters too extreme") from None
     if M is None:
         M = min(max(M_formula, 2), M_CAP)
     if M < 2 or M % 2:
@@ -116,7 +119,7 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
 
     D = (2 * d + 1) ** 2
     lh = lambda_hat_from(lam, eps, d, T)
-    seedlen = k_indep * L * d * math.ceil(math.log2(d * L * n / eps))
+    seedlen = k_indep * L * d * math.ceil(log_ratio)
     return PrgParams(
         n=n, d=d, eps=eps, lambda_bar=lam, L=L, k_indep=k_indep, M=M,
         R_bar=R_bar, T=T, D=D, lambda_hat=lh,

@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from ptfprg import kwise
 from ptfprg.kwise import (IRREDUCIBLE, KWiseSeed, KWiseSpec, enumerate_seeds,
                           expand, expand_batch, field_width, gf_mul,
                           gaussian_seed_length, gaussian_word_spec,
@@ -24,6 +27,22 @@ def ref_gf_mul(a, b, m):
     while prod.bit_length() > m:
         prod ^= red << (prod.bit_length() - (m + 1))
     return prod
+
+
+def random_words(rng, spec, rows):
+    """(rows, k) coefficient words over the whole of [0, 2^m)."""
+    m = field_width(spec)
+    return rng.integers(0, (1 << m) - 1, size=(rows, spec.k), dtype=np.uint64,
+                        endpoint=True)
+
+
+def seed_of(row, spec):
+    """The KWiseSeed whose coefficient words are row."""
+    m = field_width(spec)
+    bits = 0
+    for c in row:
+        bits = (bits << m) | int(c)
+    return KWiseSeed(bits, spec.k * m)
 
 
 class TestField:
@@ -167,20 +186,45 @@ class TestExpand:
         assert words == again  # same points, same outputs, independent calls
 
     def test_batch_matches_scalar(self):
+        # every byte count of the split tables, m = 1..64, and n > 2^M
         rng = np.random.default_rng(3)
         for spec in (KWiseSpec(k=3, n=4, M=4), KWiseSpec(k=5, n=3, M=16),
-                     KWiseSpec(k=2, n=2, M=24)):
-            m = field_width(spec)
-            rows = []
-            seeds = []
-            for _ in range(10):
-                bits = int(rng.integers(0, 2**min(seed_length(spec), 62)))
-                seeds.append(KWiseSeed(bits, seed_length(spec)))
-                rows.append([(bits >> (m * (spec.k - 1 - j))) & ((1 << m) - 1)
-                             for j in range(spec.k)])
-            batch = expand_batch(np.array(rows, dtype=np.uint64), spec)
-            for b, s in zip(batch, seeds):
-                assert list(b) == expand(s, spec)
+                     KWiseSpec(k=2, n=2, M=24), KWiseSpec(k=2, n=2, M=1),
+                     KWiseSpec(k=4, n=5, M=8), KWiseSpec(k=3, n=6, M=17),
+                     KWiseSpec(k=4, n=3, M=32), KWiseSpec(k=3, n=4, M=40),
+                     KWiseSpec(k=3, n=3, M=63), KWiseSpec(k=4, n=3, M=64),
+                     KWiseSpec(k=3, n=300, M=4)):
+            rows = random_words(rng, spec, 10)
+            batch = expand_batch(rows, spec)
+            assert batch.dtype == np.uint64
+            for b, row in zip(batch, rows):
+                assert list(b) == expand(seed_of(row, spec), spec), spec
+
+    def test_golden_words(self):
+        # sha256 of the little-endian uint64 words, recorded from the exp/log
+        # table (M = 16), shift-and-reduce (M = 32) and scalar (M = 64) paths
+        # that the byte-split tables replaced
+        want = {16: "887014725af48677eee0ff7d56cd08650b465ae4c47caffe0072dfe5a9bcf8b7",
+                32: "4bc54b3b66a30a41ebc6562d6665ad4c8277c650bac0096116f08c94c981d693",
+                64: "6efeb1c701c5ac47399772c9af39f17874dc742eb8f6628c0dc379b13627e18e"}
+        for M, digest in want.items():
+            spec = KWiseSpec(k=6, n=10, M=M)
+            words = expand_batch(random_words(np.random.default_rng(2024), spec, 50),
+                                 spec)
+            assert hashlib.sha256(words.astype("<u8").tobytes()).hexdigest() == digest
+
+    def test_cold_batch_memory_bounded(self):
+        # the widest fooling-suite block; whole-field tables took ~200 MB
+        spec = KWiseSpec(k=96, n=16, M=16)
+        coeffs = random_words(np.random.default_rng(9), spec, 500)
+        kwise._byte_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            expand_batch(coeffs, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSeedHex:
@@ -196,7 +240,7 @@ class TestSeedHex:
 class TestBoxMuller:
     def test_max_word_gives_zero(self):
         out = to_near_gaussian(np.array([2**16 - 1, 12345], float), 16)
-        assert out == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert out == pytest.approx([0.0], abs=1e-12)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -261,19 +305,14 @@ class TestGaussianVector:
                                   spec)
 
     def test_batch_matches_scalar(self):
-        spec = KWiseSpec(k=2, n=3, M=8)
-        wspec = gaussian_word_spec(spec)
-        m = field_width(wspec)
         rng = np.random.default_rng(5)
-        rows = rng.integers(0, 1 << m, size=(5, wspec.k), dtype=np.uint64)
-        batch = kwise_gaussian_batch(rows, spec)
-        for row, z in zip(rows, batch):
-            bits = 0
-            for c in row:
-                bits = (bits << m) | int(c)
-            seed = KWiseSeed(bits, seed_length(wspec))
-            assert np.allclose(z, kwise_gaussian_vector(seed, spec),
-                               rtol=0, atol=0)
+        for spec in (KWiseSpec(k=2, n=3, M=8), KWiseSpec(k=2, n=3, M=32)):
+            rows = random_words(rng, gaussian_word_spec(spec), 5)
+            batch = kwise_gaussian_batch(rows, spec)
+            for row, z in zip(rows, batch):
+                want = kwise_gaussian_vector(seed_of(row, gaussian_word_spec(spec)),
+                                             spec)
+                assert np.array_equal(z, want)
 
     def test_pairwise_correlation(self):
         spec = KWiseSpec(k=2, n=4, M=16)

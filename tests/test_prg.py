@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from ptfprg import kwise
 from ptfprg.battery import sign_expectation
 from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.prg import choose_params, generate_batch
+from ptfprg.prg import M_CAP, choose_params, generate_batch
 from ptfprg.seeding import substream
 
 
@@ -55,6 +57,46 @@ class TestChooseParams:
             choose_params(2, 1, 0.5, k_mult=8)  # below 4 d T
         with pytest.raises(ValueError):
             choose_params(2, 1, 0.5, M=7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), d=st.integers(1, 5),
+           eps=st.floats(0, 1, exclude_min=True, exclude_max=True),
+           coupling=st.sampled_from(["prg", "analysis"]))
+    @example(n=64, d=1, eps=1e-70, coupling="analysis")  # was OverflowError
+    def test_resolved_tuple_properties(self, n, d, eps, coupling):
+        try:
+            p = choose_params(n, d, eps, coupling=coupling)
+        except ValueError as e:  # only the documented extremes may refuse
+            assert "too extreme" in str(e) or "overflows" in str(e), e
+            return
+        assert p.L >= 1 and p.lambda_bar == 1 / p.L
+        assert p.M % 2 == 0 and 2 <= p.M <= M_CAP
+        assert p.k_indep == p.k_mult * p.d >= 4 * p.d * p.T
+        assert p.D == (2 * d + 1) ** 2
+        assert p.seed_bits_per_sample() == p.L * kwise.gaussian_seed_length(
+            p.block_spec())
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 64), d=st.integers(1, 5),
+           eps=st.floats(0, 1, exclude_min=True, exclude_max=True),
+           bad=st.sampled_from(["n", "d", "eps", "M", "coupling"]),
+           data=st.data())
+    def test_each_bad_input_raises(self, n, d, eps, bad, data):
+        kwargs = {}
+        if bad == "n":
+            n = data.draw(st.integers(-5, 0))
+        elif bad == "d":
+            d = data.draw(st.integers(-5, 0))
+        elif bad == "eps":
+            eps = data.draw(st.one_of(st.floats(max_value=0), st.floats(min_value=1),
+                                      st.just(math.nan)))
+        elif bad == "M":
+            kwargs["M"] = data.draw(st.integers(-9, 99).filter(lambda v: v % 2))
+        else:
+            kwargs["coupling"] = data.draw(
+                st.text().filter(lambda c: c not in ("prg", "analysis")))
+        with pytest.raises(ValueError):
+            choose_params(n, d, eps, **kwargs)
 
     def test_analysis_coupling_is_tiny(self):
         p = choose_params(4, 2, 0.2, coupling="analysis")
