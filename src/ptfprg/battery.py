@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import verify
-from .gaussops import (ZoomSpec, amplified_derivative, binom_pmf_row,
-                       hypervar, is_attenuated, mult_close, noise_op, zoom,
+from .gaussops import (amplified_derivative, binom_pmf_row, hypervar,
+                       is_attenuated, mult_close, noise_op,
                        zoom_coefficient_polys, zoom_hypervar_and_norm_batch)
 from .hermite import HermitePoly, hermite_values, random_poly, total_degree
 from .hyperlab import (carbery_wright_check, hypercon_check,
@@ -217,13 +217,12 @@ def neighbor_hypervariance_report(p, params, x_count, master_seed, cols=None,
     checked = 0
     for i in range(min(2, params.d)):
         base = grid.exact_row_poly(i)
+        a_row, a_err_row, _ = grid.row_batch(i, X, [j + 1 for j in cols])
         b_row, b_err_row, _ = grid.row_batch(i + 1, X, cols)
         for c, j in enumerate(cols):
             s_ij = noise_op(base, grid.column_rho(j))
             lhs, _ = zoom_hypervar_and_norm_batch(s_ij, lam, X, R0)
-            # one column per call: a wider product changes row 0's last bits
-            a, a_err, _ = grid.row_batch(i, X, [j + 1])
-            a, a_err = a[:, 0], a_err[:, 0]
+            a, a_err = a_row[:, c], a_err_row[:, c]
             b, b_err = b_row[:, c], b_err_row[:, c]
             rhs = 8.0 * (a + b) * b
             sig = 8.0 * np.sqrt((b * a_err) ** 2 + ((a + 2 * b) * b_err) ** 2)
@@ -692,19 +691,31 @@ def check_stability_forms_mc(cfg):
     h = verify.derived_inner_poly(g, x, r_prime, lam, rho)
     forms = stability_closed_forms(h, r_prime, lam, rho)
     trials = max(cfg.trials * 5, 10_000)
-    s1, s2 = math.sqrt(1.0 - lam), math.sqrt(lam)
-    ug = noise_op(g, r_prime)
-    lhs_vals = np.empty(trials)
-    rhs_vals = np.empty(trials)
-    for t in range(trials):
-        z = rng.standard_normal(2)
-        y = rng.standard_normal(2)
-        y2 = rng.standard_normal(2)
-        ugz = noise_op(zoom(g, ZoomSpec(rho, z)), r_prime)
-        lhs_vals[t] = ((ugz.eval(s1 * x + s2 * y)
-                        - ugz.eval(s1 * x + s2 * y2)) / math.sqrt(2.0)) ** 2
-        w = amplified_derivative(ug, y, y2, R=1.0, lam=lam)
-        rhs_vals[t] = zoom(w, ZoomSpec(rho, z)).eval(x) ** 2
+    # z, y, y2 of every trial, in the order a per-trial loop draws them
+    Z, Y, Y2 = rng.standard_normal((trials, 3, 2)).transpose(1, 0, 2)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+
+    def hb(beta, P):
+        return HermitePoly.basis(2, beta).eval_batch(P)
+
+    # lhs: U_{r'} of the zoom of g at z, differenced at sqrt(1-lam) x +
+    # sqrt(lam) y and y2; the zoom's coefficients are c_beta(z)
+    U = math.sqrt(1.0 - lam) * x + math.sqrt(lam) * Y
+    U2 = math.sqrt(1.0 - lam) * x + math.sqrt(lam) * Y2
+    diff = np.zeros(trials)
+    for beta, cpoly in zoom_coefficient_polys(g, rho).items():
+        diff += (r_prime ** total_degree(beta) * cpoly.eval_batch(Z)
+                 * (hb(beta, U) - hb(beta, U2)))
+    lhs_vals = (diff * inv_sqrt2) ** 2
+    # rhs: the amplified derivative w of U_{r'} g along (y, y2), zoomed at z
+    # and read at x, is w at sqrt(1-rho) z + sqrt(rho) x
+    V = math.sqrt(1.0 - rho) * Z + math.sqrt(rho) * x
+    w = np.zeros(trials)
+    for beta, cpoly in zoom_coefficient_polys(noise_op(g, r_prime),
+                                              lam).items():
+        if total_degree(beta):
+            w += (hb(beta, Y) - hb(beta, Y2)) * inv_sqrt2 * cpoly.eval_batch(V)
+    rhs_vals = w ** 2
     rep = {}
     ok = True
     for tag, vals, ref in (("lhs", lhs_vals, forms.p_lhs),

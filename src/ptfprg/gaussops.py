@@ -14,13 +14,15 @@ operators against their probabilistic definitions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import HermitePoly, total_degree
+from .hermite import (HermitePoly, _basis, _contraction, _design, _from_dense,
+                      _segment_sum, _to_dense, total_degree)
 
 __all__ = [
     "ZoomSpec",
@@ -200,38 +202,55 @@ def amplified_derivative(g, y, y2, R, lam) -> HermitePoly:
 
         x -> [ (U_R zoom(g, lam, x))(y) - (U_R zoom(g, lam, x))(y2) ] / sqrt(2),
 
-    computed symbolically from the zoom coefficient polynomials so that the
-    degree drop (output degree <= deg g - 1) holds exactly.
+    computed symbolically from the zoom coefficient identity so that the
+    degree drop (output degree <= deg g - 1) holds exactly.  It is the
+    one-row case of :func:`_amplified_derivative_rows`.
     """
     y = np.asarray(y, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     if y.shape != (g.n,) or y2.shape != (g.n,):
         raise ValueError(f"direction vectors must have shape ({g.n},)")
-    cpolys = zoom_coefficient_polys(g, lam)
-    out = HermitePoly.zero(g.n)
+    deg = g.degree()
+    row = _amplified_derivative_rows(_to_dense(g, deg)[None, :], g.n, deg,
+                                     y[None, :], y2[None, :], R, lam)
+    return _from_dense(g.n, max(deg - 1, 0), row[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative_pairs(n, deg, lam):
+    """The zoom coefficient identity as a table of (gamma, beta, gamma - beta,
+    sqrt Pr[Bin(gamma, lam) = beta]) over the graded basis of degree <= deg,
+    for beta != 0; gamma - beta lands in the basis of degree <= deg - 1."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"zoom scale {lam} outside [0, 1]")
+    basis = _basis(n, deg)
+    low = _basis(n, max(deg - 1, 0)).pos
+    gam, bet, wt, tgt = [], [], [], []
+    for ig, gamma in enumerate(basis.alphas):
+        for beta in _sub_indices(gamma):
+            if not any(beta):
+                continue
+            p = _pmf_prod(gamma, beta, lam)
+            if p == 0.0:
+                continue
+            gam.append(ig)
+            bet.append(basis.pos[beta])
+            wt.append(math.sqrt(p))
+            tgt.append(low[tuple(g - b for g, b in zip(gamma, beta))])
+    return _contraction(gam, bet, wt, tgt, len(low))
+
+
+def _amplified_derivative_rows(G, n, deg, Y, Y2, R, lam) -> np.ndarray:
+    """Row t: the coefficients (degree <= deg - 1) of amplified_derivative
+    of the polynomial with coefficient row G[t] (degree <= deg) along the
+    directions Y[t], Y2[t]; one contraction over the pair table."""
+    table = _derivative_pairs(n, deg, lam)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for beta, cpoly in cpolys.items():
-        db = total_degree(beta)
-        if db == 0:
-            continue
-        hb_y = _h_multi(y, beta)
-        hb_y2 = _h_multi(y2, beta)
-        w = (R**db) * (hb_y - hb_y2) * inv_sqrt2
-        if w != 0.0:
-            out = out + cpoly.scale(w)
-    return out
-
-
-def _h_multi(x, alpha):
-    from .hermite import hermite_values
-
-    kmax = max(alpha)
-    tab = hermite_values(np.asarray(x, dtype=float), kmax)
-    v = 1.0
-    for i, a in enumerate(alpha):
-        if a:
-            v *= tab[i, a]
-    return float(v)
+    W = R ** _basis(n, deg).levels * (_design(Y, deg) - _design(Y2, deg))
+    W *= inv_sqrt2
+    terms = G[:, table.left] * table.weight
+    terms *= W[:, table.right]
+    return _segment_sum(terms, table)
 
 
 def directional_derivative(g: HermitePoly, y) -> HermitePoly:

@@ -8,15 +8,19 @@ the standard Gaussian measure, so means, variances, 2-norms and level weights
 are read off the coefficients directly.
 
 Multi-indices are plain tuples; helpers for the few operations we need on
-them live at module level.
+them live at module level.  Batch kernels (the statistics grid's Monte Carlo
+rows) use dense coefficient rows over a cached graded basis instead: one row
+per polynomial, products through a cached linearization table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -336,3 +340,125 @@ def random_poly(n, d, rng, sparsity=None, scale=1.0):
         idx = rng.choice(len(alphas), size=sparsity, replace=False)
         alphas = [alphas[i] for i in idx]
     return HermitePoly(n, {a: scale * rng.standard_normal() for a in alphas})
+
+
+# -- dense coefficient rows ---------------------------------------------------
+
+class _Basis(NamedTuple):
+    alphas: tuple        # multi-indices of total degree <= d, graded order
+    exps: np.ndarray     # the same, as a read-only (N, n) int array
+    levels: np.ndarray   # total degree of each multi-index
+    pos: dict            # multi-index -> position
+
+
+def _compositions(n, k):
+    """All n-tuples of naturals summing to k, in lexicographic order."""
+    if n == 1:
+        yield (k,)
+        return
+    for a in range(k + 1):
+        for rest in _compositions(n - 1, k - a):
+            yield (a,) + rest
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(n, d) -> _Basis:
+    """The multi-indices of degree <= d in graded order (by total degree,
+    then lexicographic).  The indices of degree <= k are the first entries,
+    so a lower-degree coefficient row is a prefix of a higher-degree one."""
+    alphas = tuple(a for k in range(d + 1) for a in _compositions(n, k))
+    exps = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
+    levels = exps.sum(axis=1)
+    exps.flags.writeable = levels.flags.writeable = False
+    return _Basis(alphas, exps, levels, {a: i for i, a in enumerate(alphas)})
+
+
+def _to_dense(poly: HermitePoly, d) -> np.ndarray:
+    """Coefficient row of poly over the graded basis of degree <= d."""
+    pos = _basis(poly.n, d).pos
+    out = np.zeros(len(pos))
+    for alpha, c in poly.coeffs.items():
+        out[pos[alpha]] = c
+    return out
+
+
+def _from_dense(n, d, row) -> HermitePoly:
+    """The polynomial with coefficient row `row` over the graded basis of
+    degree <= d."""
+    alphas = _basis(n, d).alphas
+    return HermitePoly(n, {a: c for a, c in zip(alphas, row.tolist())
+                           if c != 0.0})
+
+
+def _design(X, d) -> np.ndarray:
+    """(B, N) values h_alpha(x) of the graded basis of degree <= d."""
+    exps = _basis(X.shape[1], d).exps
+    tab = hermite_values(X, d)
+    H = tab[:, 0, exps[:, 0]]
+    for i in range(1, X.shape[1]):
+        H = H * tab[:, i, exps[:, i]]
+    return H
+
+
+class _Contraction(NamedTuple):
+    """Sum over entries of weight * row[left] * row[right], scattered to
+    out[target]; entries sorted by target, one segment per target."""
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
+    starts: np.ndarray   # first entry of each segment
+    targets: np.ndarray  # output position of each segment
+    size: int            # output row length
+
+
+def _contraction(left, right, weight, target, size) -> _Contraction:
+    order = np.argsort(np.asarray(target, dtype=np.intp), kind="stable")
+    target = np.asarray(target, dtype=np.intp)[order]
+    starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]]) \
+        if len(target) else np.zeros(0, dtype=np.intp)
+    arrays = [np.asarray(left, dtype=np.intp)[order],
+              np.asarray(right, dtype=np.intp)[order],
+              np.asarray(weight, dtype=float)[order], starts, target[starts]]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Contraction(*arrays, size)
+
+
+def _segment_sum(terms, table: _Contraction) -> np.ndarray:
+    """(T, size) rows: each segment of the (T, entries) terms summed into its
+    target position."""
+    out = np.zeros((terms.shape[0], table.size))
+    if len(table.starts):
+        out[:, table.targets] = np.add.reduceat(terms, table.starts, axis=1)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _square_table(n, e) -> _Contraction:
+    """Linearization h_a h_b = sum_c w h_c for a <= b of degree <= e (the
+    pair a < b counted twice), targets in the basis of degree <= 2e."""
+    alphas = _basis(n, e).alphas
+    pos = _basis(n, 2 * e).pos
+    left, right, weight, target = [], [], [], []
+    for ia, a in enumerate(alphas):
+        for ib in range(ia, len(alphas)):
+            twice = 2.0 if ib != ia else 1.0
+            per_var = [_uni_product(x, y) for x, y in zip(a, alphas[ib])]
+            for combo in itertools.product(*per_var):
+                w = twice
+                for _, cf in combo:
+                    w *= cf
+                left.append(ia)
+                right.append(ib)
+                weight.append(w)
+                target.append(pos[tuple(k for k, _ in combo)])
+    return _contraction(left, right, weight, target, len(pos))
+
+
+def _square_rows(F, n, e) -> np.ndarray:
+    """Row t: the coefficients of f_t * f_t (degree <= 2e) for coefficient
+    rows F (T, N_e) of degree <= e."""
+    table = _square_table(n, e)
+    terms = F[:, table.left] * F[:, table.right]
+    terms *= table.weight
+    return _segment_sum(terms, table)

@@ -5,10 +5,11 @@ The smooth step sigma is the normalized incomplete integral of (1-u^2)^N on
 has its first N derivatives vanishing at both ends.  A soft check compares
 two grid statistics through sigma(delta^{-1} ln(s_u / (gamma s_v))), with the
 ratio conventions 0/0 -> +inf and positive/0 -> +inf (check passes) and
-0/positive -> 0 (check fails).  The mollifier is the product of all soft
+0/positive -> -inf (check fails).  The mollifier is the product of all soft
 checks; the analysis checks are the hard, shifted-by-one counterparts with
 a fixed evaluation order (bottom row first, then upward with the connecting
-diagonal check before each row).
+diagonal check before each row).  Both are evaluated one check at a time
+over the whole batch of centers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.special import betainc
 
 from .gaussops import mult_close
 from .hermite import HermitePoly
-from .statgrid import StatGrid
+from .statgrid import StatGrid, _check_centers
 
 __all__ = ["SmoothStep", "sigma", "CheckSpec", "soft_check",
            "mollifier_checks", "mollifier_eval_batch", "MollifierValue",
@@ -42,7 +43,9 @@ class SmoothStep:
 
 
 def sigma(t, order):
-    return float(SmoothStep(order)(t))
+    """SmoothStep(order) at t: a float for a scalar t, else an array."""
+    v = SmoothStep(order)(t)
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass
@@ -81,15 +84,34 @@ class CheckSpec:
         return f"horz{arrow}[{self.i},{self.j}]"
 
 
-def _log_ratio(su, sv):
-    """ln(su/sv) with the closure conventions: 0/0 and pos/0 are +inf."""
-    if su < 0.0 or sv < 0.0:
-        raise ValueError("statistics must be nonnegative")
-    if sv == 0.0:
-        return math.inf  # covers 0/0 as well
-    if su == 0.0:
-        return -math.inf
-    return math.log(su / sv)
+def _soft_factors(check: CheckSpec, su, sv, order) -> np.ndarray:
+    """sigma(delta^{-1} ln(su / (gamma sv))) for arrays of statistics.
+
+    Elementwise the same arithmetic, bit for bit, as a scalar evaluation with
+    math.log: the ratio decides the saturated factors, and only ratios near
+    the smooth band [gamma e^-delta, gamma e^delta] take a log.
+    """
+    su = np.asarray(su, dtype=float)
+    sv = np.asarray(sv, dtype=float)
+    if not ((su >= 0.0).all() and (sv >= 0.0).all()):
+        raise ValueError("statistics must be nonnegative (got a negative "
+                         "value or nan)")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = su / sv
+    # 1e-9 of slack in the ratio is far above the log's rounding error
+    lo = check.gamma * math.exp(-check.delta) * (1.0 - 1e-9)
+    hi = check.gamma * math.exp(check.delta) * (1.0 + 1e-9)
+    out = ((q >= hi) | (sv == 0.0)).astype(float)  # 0/0 and pos/0 pass
+    near = np.flatnonzero((q > lo) & (q < hi) & (sv > 0.0))
+    if len(near):
+        t = np.array([math.log(v) for v in q[near].tolist()])
+        arg = (t - math.log(check.gamma)) / check.delta
+        band = (arg > -1.0) & (arg < 1.0)
+        f = (arg >= 1.0).astype(float)
+        if band.any():
+            f[band] = sigma(arg[band], order)
+        out[near] = f
+    return out
 
 
 def soft_check(check: CheckSpec, su, sv, order=4) -> float:
@@ -98,17 +120,7 @@ def soft_check(check: CheckSpec, su, sv, order=4) -> float:
     Returns exactly 1 when su >= e^delta gamma sv and exactly 0 when
     su <= e^{-delta} gamma sv.
     """
-    t = _log_ratio(su, sv)
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
-    arg = (t - math.log(check.gamma)) / check.delta
-    if arg >= 1.0:
-        return 1.0
-    if arg <= -1.0:
-        return 0.0
-    return sigma(arg, order)
+    return float(_soft_factors(check, [su], [sv], order)[0])
 
 
 def mollifier_checks(params) -> list:
@@ -158,33 +170,34 @@ def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid = None,
     """Product of all soft checks, with the signed indicators, per point.
 
     Statistics come from the supplied grid (exact rows 0-1, shared Monte
-    Carlo caches above), one table for the whole batch; the smooth-step
-    order defaults to max(d, 4).
+    Carlo caches above), one table for the whole batch; each soft check is
+    evaluated once over the batch and the factors are multiplied in check
+    order.  The smooth-step order defaults to max(d, 4).
     """
+    X = _check_centers(X, p.n)
     if grid is None:
         grid = StatGrid(p, params, master_seed=master_seed)
-    X = np.asarray(X, dtype=float)
     vals = _stat_table(grid, X, max_col=max(params.D - 1, 1))
     order = order if order is not None else max(params.d, 4)
     checks = mollifier_checks(params)
+    values = np.ones(X.shape[0])
+    failed = np.zeros((X.shape[0], len(checks)), dtype=bool)
+    for k, check in enumerate(checks):
+        (iu, ju), (iv, jv) = check.operands()
+        factor = _soft_factors(check, vals[iu][:, ju], vals[iv][:, jv], order)
+        failed[:, k] = factor != 1.0
+        values = values * factor
+    failed_checks = [[] for _ in range(X.shape[0])]
+    rows, cols = np.nonzero(failed)
+    for b, k in zip(rows.tolist(), cols.tolist()):
+        failed_checks[b].append(checks[k].label())
     signs = np.sign(p.eval_batch(X)).astype(int)
-    out = []
-    for b in range(X.shape[0]):
-        value = 1.0
-        failed = []
-        for check in checks:
-            (iu, ju), (iv, jv) = check.operands()
-            factor = soft_check(check, float(vals[iu][b, ju]),
-                                float(vals[iv][b, jv]), order=order)
-            if factor != 1.0:
-                failed.append(check.label())
-            value *= factor
-        sign = int(signs[b])
-        out.append(MollifierValue(value=value, sign=sign,
-                                  indicator_plus=value * (sign == 1),
-                                  indicator_minus=value * (sign == -1),
-                                  failed_checks=failed))
-    return out
+    return [MollifierValue(value=value, sign=sign,
+                           indicator_plus=value * (sign == 1),
+                           indicator_minus=value * (sign == -1),
+                           failed_checks=names)
+            for value, sign, names in zip(values.tolist(), signs.tolist(),
+                                          failed_checks)]
 
 
 @dataclass
@@ -221,9 +234,9 @@ def analysis_checks_eval_batch(p: HermitePoly, params, X,
     Each check is evaluated once over the whole batch.  Monte Carlo rows are
     read at their point estimates; rows 0-1 are exact.
     """
+    X = _check_centers(X, p.n)
     if grid is None:
         grid = StatGrid(p, params, master_seed=master_seed)
-    X = np.asarray(X, dtype=float)
     vals = _stat_table(grid, X, max_col=params.D)
     labels, holds = [], []
     for kind, i, j in analysis_checks(params):

@@ -13,6 +13,13 @@ of squares of sampled derivative polynomials; the estimator draws
 f ~ F_{i,0}, squares it symbolically, and applies the exact column smoothing
 to the sampled square, so one sample cache serves every column and the
 bottom row is a single shared constant by construction.
+
+A Monte Carlo row is built for all its samples at once: each sample is one
+row of a (trials, N) coefficient matrix over a graded Hermite basis, each
+amplified derivative one contraction over all rows, the square one more.
+Reading the grid multiplies the Hermite design matrix at the centers with
+that coefficient matrix, one product per Hermite level, and weighs the
+levels by each column's noise factors.
 """
 
 from __future__ import annotations
@@ -22,15 +29,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussops import (amplified_derivative, hypervar, zoom,
+from .gaussops import (_amplified_derivative_rows, _derivative_pairs,
+                       amplified_derivative, hypervar, zoom,
                        zoom_coefficient_polys, ZoomSpec)
-from .hermite import HermitePoly
+from .hermite import (HermitePoly, _basis, _design, _from_dense,
+                      _square_rows, _square_table, _to_dense)
 from .seeding import substream
 
 __all__ = ["PolySampler", "StatGrid", "mc_average", "stat_identities_check",
            "grid_csv"]
 
 DEFAULT_TRIALS = 10_000
+# Elements per temporary: a Monte Carlo row is built in blocks of samples
+# (each sample's arithmetic is the same whatever the block), and a read
+# evaluates blocks of centers, so that centers x samples stays bounded.
+BLOCK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -69,15 +82,14 @@ class PolySampler:
         return f
 
 
-def _level_values(poly: HermitePoly, X) -> np.ndarray:
-    """(B, deg+1) array of per-Hermite-level values of poly on the batch."""
-    deg = poly.degree()
-    out = np.zeros((X.shape[0], deg + 1))
-    for lvl in range(deg + 1):
-        part = poly.part("=k", lvl)
-        if part.coeffs:
-            out[:, lvl] = part.eval_batch(X)
-    return out
+def _check_centers(X, n) -> np.ndarray:
+    """X as a float (B, n) array of finite centers, or ValueError."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"centers have shape {X.shape}, expected (B, {n})")
+    if not np.isfinite(X).all():
+        raise ValueError("centers must be finite (got nan or inf)")
+    return X
 
 
 class StatGrid:
@@ -103,36 +115,66 @@ class StatGrid:
             raise ValueError(f"mc_trials = {mc_trials}: a Monte Carlo row "
                              "needs at least 2 samples for an error bar")
         self.mc_trials = mc_trials
-        self._row_polys = {0: p * p, 1: self._row1_poly()}
-        self._mc_rows = {}
+        self._rows = {0: self._exact_row(0), 1: self._exact_row(1)}
 
-    def _row1_poly(self) -> HermitePoly:
-        out = HermitePoly.zero(self.p.n)
-        for beta, cpoly in zoom_coefficient_polys(self.p, self.lam).items():
-            db = sum(beta)
-            if db == 0:
-                continue
-            out = out + (cpoly * cpoly).scale(self.R ** (2 * db))
-        return out
+    def _exact_row(self, i):
+        """(degree, one coefficient row) of p^2 (i = 0) or of
+        sum_{beta != 0} R^{2|beta|} c_beta^2 (i = 1)."""
+        n, deg = self.p.n, self.p.degree()
+        if i == 0:
+            return 2 * deg, _square_rows(_to_dense(self.p, deg)[None, :],
+                                         n, deg)
+        e = max(deg - 1, 0)
+        cpolys = [(beta, cpoly) for beta, cpoly
+                  in zoom_coefficient_polys(self.p, self.lam).items()
+                  if any(beta)]
+        C = np.zeros((len(cpolys), len(_basis(n, e).alphas)))
+        for r, (_, cpoly) in enumerate(cpolys):
+            C[r] = _to_dense(cpoly, e)
+        weights = np.array([self.R ** (2 * sum(beta)) for beta, _ in cpolys])
+        return 2 * e, (weights @ _square_rows(C, n, e))[None, :]
 
     def exact_row_poly(self, i) -> HermitePoly:
         if i not in (0, 1):
             raise ValueError(f"exact statistics unavailable for row {i}")
-        return self._row_polys[i]
+        deg, row = self._rows[i]
+        return _from_dense(self.p.n, deg, row[0])
 
     def column_rho(self, j) -> float:
         return (1.0 - self.lam) ** (j / 2.0)
 
+    def _row_coeffs(self, i):
+        """(degree, (K, N) coefficient rows) of row i's statistic: one row
+        for an exact row, one per Monte Carlo sample above."""
+        if i not in self._rows:
+            self._rows[i] = self._mc_row(i)
+        return self._rows[i]
+
     def _mc_row(self, i):
-        cache = self._mc_rows.get(i)
-        if cache is None:
-            rng = substream(self.master_seed, "stat-row", i)
-            sampler = PolySampler(self.p, i=i, j=0, R=self.R, lam=self.lam,
-                                  rng=rng)
-            cache = [(lambda f: f * f)(sampler.sample())
-                     for _ in range(self.mc_trials)]
-            self._mc_rows[i] = cache
-        return cache
+        """The squares of mc_trials samples of F_{i,0}, as coefficient rows.
+
+        The normals are the per-sample loop's (y, y2 for each of the i
+        derivatives of sample 1, then sample 2, ...), drawn as one array."""
+        rng = substream(self.master_seed, "stat-row", i)
+        n, T = self.p.n, self.mc_trials
+        draws = rng.standard_normal((T, i, 2, n))
+        deg = self.p.degree()
+        degs = [max(deg - k, 0) for k in range(i + 1)]
+        width = max([len(_derivative_pairs(n, e, self.lam).left)
+                     for e in degs[:-1]]
+                    + [len(_square_table(n, degs[-1]).left)])
+        step = max(1, BLOCK_ELEMS // width)
+        base = _to_dense(self.p, deg)[None, :]
+        Q = np.empty((T, len(_basis(n, 2 * degs[-1]).alphas)))
+        for t0 in range(0, T, step):
+            block = draws[t0:t0 + step]
+            F = np.broadcast_to(base, (len(block), base.shape[1]))
+            for k in range(i):
+                F = _amplified_derivative_rows(F, n, degs[k], block[:, k, 0],
+                                               block[:, k, 1], self.R,
+                                               self.lam)
+            Q[t0:t0 + step] = _square_rows(F, n, degs[-1])
+        return 2 * degs[-1], Q
 
     def _check_indices(self, i, j):
         if not (0 <= i <= self.d and 0 <= j <= self.D):
@@ -140,29 +182,40 @@ class StatGrid:
                              f"[0,{self.d}] x [0,{self.D}]")
 
     def row_batch(self, i, X, cols):
-        """s_{i,j} for every j in cols at once: (B, J) values and stderrs."""
+        """s_{i,j} for every j in cols at once: (B, J) values and stderrs.
+
+        The design matrix at the centers times the row's coefficient rows,
+        one product per Hermite level l, gives each sample's level values
+        M_l; column j's value is sum_l rho_j^l M_l, averaged over the
+        samples (one for an exact row) through the per-level sums, with the
+        stderr from the level Gram matrix at each center.  Each column is
+        computed the same way whatever the other columns.
+        """
         for j in cols:
             self._check_indices(i, j)
-        X = np.asarray(X, dtype=float)
-        rhos = np.array([self.column_rho(j) for j in cols])
-        if i <= 1:
-            lv = _level_values(self._row_polys[i], X)
-            powers = rhos[None, :] ** np.arange(lv.shape[1])[:, None]
-            return lv @ powers, np.zeros((X.shape[0], len(cols))), True
-        sq = self._mc_row(i)
-        tot = np.zeros((X.shape[0], len(cols)))
-        totsq = np.zeros_like(tot)
-        maxdeg = max((q.degree() for q in sq), default=0)
-        powers = rhos[None, :] ** np.arange(maxdeg + 1)[:, None]
-        for q in sq:
-            lv = _level_values(q, X)
-            w = lv @ powers[: lv.shape[1]]
-            tot += w
-            totsq += w * w
-        K = len(sq)
-        mean = tot / K
-        var = np.maximum(totsq / K - mean**2, 0.0)
-        return mean, np.sqrt(var / K), False
+        X = _check_centers(X, self.p.n)
+        deg, Q = self._row_coeffs(i)
+        bounds = np.searchsorted(_basis(self.p.n, deg).levels,
+                                 np.arange(deg + 2))
+        powers = [self.column_rho(j) ** np.arange(deg + 1) for j in cols]
+        K = Q.shape[0]
+        mean = np.zeros((X.shape[0], len(cols)))
+        err = np.zeros_like(mean)
+        step = max(1, BLOCK_ELEMS // ((deg + 1) * K))
+        for b0 in range(0, X.shape[0], step):
+            H = _design(X[b0:b0 + step], deg)
+            # M[l, b, t]: level-l value of sample t's square at center b
+            M = np.stack([H[:, lo:hi] @ Q[:, lo:hi].T
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+            S1 = M.sum(axis=2)
+            S2 = np.einsum("lbt,mbt->lmb", M, M) if K > 1 else None
+            for c, pw in enumerate(powers):
+                m = pw @ S1 / K
+                mean[b0:b0 + step, c] = m
+                if K > 1:
+                    var = np.maximum(pw @ (pw @ S2) / K - m**2, 0.0)
+                    err[b0:b0 + step, c] = np.sqrt(var / K)
+        return mean, err, i <= 1
 
 
 def mc_average(p: HermitePoly, params, i, j, func, trials, master_seed, tag):

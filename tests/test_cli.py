@@ -175,3 +175,30 @@ class TestMonteCarloSizes:
         else:
             assert size >= 2
             assert "nan" not in out.getvalue().lower()
+
+
+class TestBadCenters:
+    @pytest.mark.parametrize("cmd", ["mollifier", "stats"])
+    def test_nonfinite_center_one_line_error(self, monkeypatch, cmd):
+        import ptfprg.cli as cli
+        real = cli.substream
+
+        class NanCenters:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                X = self.rng.standard_normal(size)
+                X[-1, 0] = np.nan
+                return X
+
+        def substream(seed, tag, *rest):
+            rng = real(seed, tag, *rest)
+            return NanCenters(rng) if tag.endswith("-x") else rng
+
+        monkeypatch.setattr(cli, "substream", substream)
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--n", "2", "--d", "1", "--x-trials", "3",
+                  "--trials", "2"])
+        assert exc.value.code == (f"ptfprg {cmd}: centers must be finite "
+                                  "(got nan or inf)")

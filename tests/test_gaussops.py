@@ -226,6 +226,25 @@ class TestAmplifiedDerivative:
                                       RNG.standard_normal(3), 4.0, 0.2)
             assert dg.degree() <= g.degree() - 1
 
+    def test_matches_zoom_coefficient_sum(self):
+        # the per-beta sum over zoom coefficient polynomials, as a reference
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n, d = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+            g = random_poly(n, d, rng)
+            y, y2 = rng.standard_normal(n), rng.standard_normal(n)
+            R, lam = float(rng.uniform(0.5, 4.0)), float(rng.uniform(0, 1))
+            want = HermitePoly.zero(n)
+            for beta, cpoly in zoom_coefficient_polys(g, lam).items():
+                if not sum(beta):
+                    continue
+                h = HermitePoly.basis(n, beta)
+                w = R ** sum(beta) * (h.eval(y) - h.eval(y2)) / math.sqrt(2)
+                want = want + cpoly.scale(w)
+            got = amplified_derivative(g, y, y2, R, lam)
+            scale = max([1.0] + [abs(c) for c in want.coeffs.values()])
+            assert coeff_close(got, want, tol=1e-12 * scale)
+
     def test_univariate_linear_frozen(self):
         g = HermitePoly(1, {(1,): 1.0})
         R, lam = 3.0, 0.25

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from ptfprg.gaussops import mult_close
 from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.mollifier import (CheckSpec, SmoothStep, analysis_checks,
-                              analysis_checks_eval_batch, mollifier_checks,
-                              mollifier_eval_batch, sigma, soft_check)
+from ptfprg.mollifier import (CheckSpec, SmoothStep, _soft_factors,
+                              analysis_checks, analysis_checks_eval_batch,
+                              mollifier_checks, mollifier_eval_batch, sigma,
+                              soft_check)
 from ptfprg.prg import choose_params
 from ptfprg.statgrid import StatGrid
 
@@ -80,6 +82,41 @@ class TestSoftCheck:
     def test_rejects_negative_statistics(self):
         with pytest.raises(ValueError):
             soft_check(self.CHECK, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            soft_check(self.CHECK, 1.0, math.nan)
+        with pytest.raises(ValueError):
+            _soft_factors(self.CHECK, [1.0, 2.0], [3.0, -1e-300], 4)
+
+    # sha256 of the factors below as the scalar soft_check (math.log per
+    # pair) computed them before the batch kernel existed
+    GOLDEN = "90d8f329ce5ecb434d58d3613d6201197d10fa6bf81b530ea55939e470f69b99"
+
+    @staticmethod
+    def soft_table():
+        """(check, su, sv): every check of a d = 2 analysis set with 64
+        statistic pairs each, most inside the smooth band, plus 0/0, 0/pos
+        and pos/0."""
+        params = choose_params(3, 2, 0.2, coupling="analysis")
+        rng = np.random.default_rng(2024)
+        table = []
+        for check in mollifier_checks(params):
+            sv = 10.0 ** rng.uniform(-3.0, 3.0, 64)
+            su = sv * check.gamma * np.exp(check.delta
+                                           * rng.uniform(-1.5, 1.5, 64))
+            su[:3], sv[:3] = (0.0, 0.0, 2.5), (0.0, 1e-30, 0.0)
+            table.append((check, su, sv))
+        return table
+
+    def test_golden_factors(self):
+        table = self.soft_table()
+        scalar = [soft_check(c, a, b, order=o) for o in (4, 7)
+                  for c, su, sv in table
+                  for a, b in zip(su.tolist(), sv.tolist())]
+        batch = np.concatenate([_soft_factors(c, su, sv, o) for o in (4, 7)
+                                for c, su, sv in table])
+        for got in (np.array(scalar), batch):
+            assert hashlib.sha256(got.tobytes()).hexdigest() == self.GOLDEN
+        assert np.mean((batch > 0.0) & (batch < 1.0)) > 0.5
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
@@ -150,6 +187,37 @@ class TestMollifierEval:
         base = vals(p)
         for c in (0.5, 4.0, 0.25):
             assert vals(p.scale(c)) == base
+
+    def test_batch_matches_per_point_loop(self):
+        params = choose_params(2, 2, 0.2, lambda_exp=2.0)
+        p = random_poly(2, 2, np.random.default_rng(53))
+        grid = StatGrid(p, params, master_seed=10, mc_trials=200)
+        X = np.random.default_rng(54).standard_normal((12, 2))
+        cols = list(range(params.D))
+        s = [grid.row_batch(i, X, cols)[0] for i in range(params.d + 1)]
+        mvs = mollifier_eval_batch(p, params, X, grid=grid)
+        for b, mv in enumerate(mvs):
+            value, failed = 1.0, []
+            for check in mollifier_checks(params):
+                (iu, ju), (iv, jv) = check.operands()
+                f = soft_check(check, float(s[iu][b, ju]),
+                               float(s[iv][b, jv]), order=4)
+                if f != 1.0:
+                    failed.append(check.label())
+                value *= f
+            assert (mv.value, mv.failed_checks) == (value, failed)
+        assert any(mv.failed_checks for mv in mvs)
+
+    @pytest.mark.parametrize("X", [np.zeros((2, 3)), np.zeros(2),
+                                   np.array([[0.1, np.nan]]),
+                                   np.array([[-np.inf, 0.0]])])
+    def test_bad_centers_raise(self, X):
+        params = choose_params(2, 2, 0.2, lambda_exp=2.0)
+        p = random_poly(2, 2, np.random.default_rng(55))
+        grid = StatGrid(p, params, master_seed=11, mc_trials=20)
+        for fn in (mollifier_eval_batch, analysis_checks_eval_batch):
+            with pytest.raises(ValueError, match="centers"):
+                fn(p, params, X, grid=grid)
 
     def test_signed_indicators(self):
         params = choose_params(1, 1, 0.2, coupling="analysis")

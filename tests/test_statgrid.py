@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ptfprg.gaussops import ZoomSpec, hypervar, zoom
+from ptfprg import gaussops, hermite
+from ptfprg.gaussops import ZoomSpec, hypervar, noise_op, zoom
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.prg import choose_params
 from ptfprg.seeding import substream
@@ -132,6 +134,94 @@ class TestStatValues:
         x = np.zeros(2)
         assert cell(grid, 1, 0, x)[0] == 0.0
         assert cell(grid, 2, 2, x)[0] == 0.0
+
+
+def reference_row(p, params, i, X, cols, trials, seed):
+    """Row i read the per-sample way: PolySampler on the row's substream,
+    each square smoothed per column and evaluated, then mean and stderr."""
+    sampler = PolySampler(p, i=i, R=params.R_bar, lam=params.lambda_bar,
+                          rng=substream(seed, "stat-row", i))
+    rhos = [(1.0 - params.lambda_bar) ** (j / 2.0) for j in cols]
+    W = np.empty((trials, X.shape[0], len(cols)))
+    for t in range(trials):
+        q = sampler.sample()
+        q = q * q
+        for c, rho in enumerate(rhos):
+            W[t, :, c] = noise_op(q, rho).eval_batch(X)
+    mean = W.sum(axis=0) / trials
+    var = np.maximum((W * W).sum(axis=0) / trials - mean**2, 0.0)
+    return mean, np.sqrt(var / trials)
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 3)])
+    def test_matches_per_sample_reference(self, n, d):
+        params = choose_params(n, d, 0.2, lambda_exp=1.0, M=16)
+        p = random_poly(n, d, np.random.default_rng(10 * n + d))
+        trials, seed = 200, 17
+        grid = StatGrid(p, params, master_seed=seed, mc_trials=trials)
+        X = np.random.default_rng(n).standard_normal((6, n))
+        cols = [0, 1, 5, params.D - 1]
+        for i in range(2, d + 1):
+            vals, errs, exact = grid.row_batch(i, X, cols)
+            want_vals, want_errs = reference_row(p, params, i, X, cols,
+                                                 trials, seed)
+            assert not exact
+            for got, want in ((vals, want_vals), (errs, want_errs)):
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * np.abs(want) + 1e-300), (i, got, want)
+
+    def test_rows_above_degree_read_zero(self):
+        params = choose_params(2, 3, 0.2, lambda_exp=1.0, M=16)
+        p = random_poly(2, 1, np.random.default_rng(11))
+        grid = StatGrid(p, params, master_seed=3, mc_trials=50)
+        X = np.random.default_rng(12).standard_normal((4, 2))
+        for i in (2, 3):
+            vals, errs, _ = grid.row_batch(i, X, [0, 1, params.D])
+            assert np.array_equal(vals, np.zeros_like(vals))
+            assert np.array_equal(errs, np.zeros_like(errs))
+
+    def test_column_count_invariant(self):
+        # criterion 7's grid: a wider read must not change any column's bits
+        seed = 20240817
+        params = choose_params(3, 2, 0.2, lambda_exp=2.0)
+        p = random_poly(3, 2, substream(seed, "acc7"))
+        grid = StatGrid(p, params, master_seed=seed, mc_trials=10_000)
+        X = substream(seed, "nb-x").standard_normal((20, 3))
+        cols = list(range(params.D + 1))
+        for i in range(params.d + 1):
+            vals, errs, _ = grid.row_batch(i, X, cols)
+            for c, j in enumerate(cols):
+                one_vals, one_errs, _ = grid.row_batch(i, X, [j])
+                assert np.array_equal(one_vals[:, 0], vals[:, c]), (i, j)
+                assert np.array_equal(one_errs[:, 0], errs[:, c]), (i, j)
+
+    def test_cold_row_build_memory_bounded(self):
+        # pair and linearization tables plus the sample blocks stay small;
+        # the squares themselves are 2000 x 210 coefficients (3.4 MB)
+        params = choose_params(6, 4, 0.2, lambda_exp=1.0, M=16)
+        p = random_poly(6, 4, np.random.default_rng(13))
+        grid = StatGrid(p, params, master_seed=1, mc_trials=2000)
+        for cache in (hermite._basis, hermite._square_table,
+                      gaussops._derivative_pairs):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            grid.row_batch(2, np.zeros((1, 6)), [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("X", [np.zeros((3, 3)), np.zeros(2),
+                                   np.array([[0.0, np.nan]]),
+                                   np.array([[np.inf, 0.0]])])
+    def test_bad_centers_raise(self, X):
+        p = random_poly(2, 2, np.random.default_rng(14))
+        grid = StatGrid(p, make_params(), master_seed=1, mc_trials=20)
+        for i in range(3):
+            with pytest.raises(ValueError, match="centers"):
+                grid.row_batch(i, X, [0])
 
 
 class TestIdentities:
