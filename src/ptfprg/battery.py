@@ -17,10 +17,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import verify
-from .gaussops import (amplified_derivative, binom_pmf_row, hypervar,
-                       is_attenuated, mult_close, noise_op,
+from .gaussops import (_zoom_matrix, amplified_derivative, binom_pmf_row,
+                       hypervar, is_attenuated, mult_close, noise_op,
                        zoom_coefficient_polys, zoom_hypervar_and_norm_batch)
-from .hermite import HermitePoly, hermite_values, random_poly, total_degree
+from .hermite import (HermitePoly, _basis, _design, hermite_values,
+                      random_poly, total_degree)
 from .hyperlab import (carbery_wright_check, hypercon_check,
                        zoom_ratio_check, local_hyperconc_experiment)
 from .kwise import KWiseSpec, enumerate_seeds, expand, kwise_gaussian_batch
@@ -694,27 +695,22 @@ def check_stability_forms_mc(cfg):
     # z, y, y2 of every trial, in the order a per-trial loop draws them
     Z, Y, Y2 = rng.standard_normal((trials, 3, 2)).transpose(1, 0, 2)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-
-    def hb(beta, P):
-        return HermitePoly.basis(2, beta).eval_batch(P)
-
+    deg = g.degree()
     # lhs: U_{r'} of the zoom of g at z, differenced at sqrt(1-lam) x +
-    # sqrt(lam) y and y2; the zoom's coefficients are c_beta(z)
+    # sqrt(lam) y and y2; the zoom's coefficients c_beta(z) are h(Z) C^T
     U = math.sqrt(1.0 - lam) * x + math.sqrt(lam) * Y
     U2 = math.sqrt(1.0 - lam) * x + math.sqrt(lam) * Y2
-    diff = np.zeros(trials)
-    for beta, cpoly in zoom_coefficient_polys(g, rho).items():
-        diff += (r_prime ** total_degree(beta) * cpoly.eval_batch(Z)
-                 * (hb(beta, U) - hb(beta, U2)))
+    diff = (r_prime ** _basis(2, deg).levels
+            * (_design(Z, deg) @ _zoom_matrix(g, rho).T)
+            * (_design(U, deg) - _design(U2, deg))).sum(axis=1)
     lhs_vals = (diff * inv_sqrt2) ** 2
     # rhs: the amplified derivative w of U_{r'} g along (y, y2), zoomed at z
-    # and read at x, is w at sqrt(1-rho) z + sqrt(rho) x
+    # and read at x, is w at sqrt(1-rho) z + sqrt(rho) x (the beta = 0 term
+    # is h_0(y) - h_0(y2) = 0)
     V = math.sqrt(1.0 - rho) * Z + math.sqrt(rho) * x
-    w = np.zeros(trials)
-    for beta, cpoly in zoom_coefficient_polys(noise_op(g, r_prime),
-                                              lam).items():
-        if total_degree(beta):
-            w += (hb(beta, Y) - hb(beta, Y2)) * inv_sqrt2 * cpoly.eval_batch(V)
+    w = ((_design(Y, deg) - _design(Y2, deg)) * inv_sqrt2
+         * (_design(V, deg) @ _zoom_matrix(noise_op(g, r_prime), lam).T)
+         ).sum(axis=1)
     rhs_vals = w ** 2
     rep = {}
     ok = True

@@ -7,9 +7,10 @@ computed exactly from the coefficient identity
     coeff_beta(zoom) = sum_{gamma >= beta} ghat(gamma)
                        * sqrt(Pr[Bin(gamma, lambda) = beta]) * h_{gamma-beta}(x),
 
-where Bin(gamma, lambda) is the componentwise binomial.  Everything here is
-symbolic/exact; Monte Carlo only enters in the test suites that check these
-operators against their probabilistic definitions.
+where Bin(gamma, lambda) is the componentwise binomial, from one cached
+table per (n, degree, lambda) that every zoom operator here reads.
+Everything here is symbolic/exact; Monte Carlo only enters in the test
+suites that check these operators against their probabilistic definitions.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import (HermitePoly, _basis, _contraction, _design, _from_dense,
-                      _segment_sum, _to_dense, total_degree)
+from .hermite import (HermitePoly, _basis, _contraction, _Contraction,
+                      _design, _from_dense, _segment_sum, _to_dense,
+                      total_degree)
 
 __all__ = [
     "ZoomSpec",
@@ -93,56 +96,92 @@ def _sub_indices(gamma):
     return itertools.product(*(range(g + 1) for g in gamma))
 
 
+class _ZoomPairs(NamedTuple):
+    """Entries (gamma, beta, delta = gamma - beta, sqrt pmf), as positions in
+    the graded basis: c_beta has the term ghat(gamma) sqrt pmf h_delta."""
+    gamma: np.ndarray
+    beta: np.ndarray
+    delta: np.ndarray
+    sqrt_pmf: np.ndarray
+    derivative: _Contraction  # the entries with beta != 0, by delta
+
+
+@functools.lru_cache(maxsize=64)
+def _zoom_pairs(n, deg, lam) -> _ZoomPairs:
+    """The zoom coefficient identity over the graded basis of degree <= deg,
+    every beta including 0, pairs of probability 0 left out.  For beta != 0,
+    gamma - beta lands in the derivative's basis of degree <= deg - 1."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"zoom scale {lam} outside [0, 1]")
+    pos = _basis(n, deg).pos
+    entries = []
+    for ig, gamma in enumerate(_basis(n, deg).alphas):
+        for beta in _sub_indices(gamma):
+            p = _pmf_prod(gamma, beta, lam)
+            if p != 0.0:
+                delta = tuple(g - b for g, b in zip(gamma, beta))
+                entries.append((ig, pos[beta], pos[delta], math.sqrt(p)))
+    gam, bet, dlt, wt = (np.array(col) for col in zip(*entries))
+    for a in (gam, bet, dlt, wt):
+        a.flags.writeable = False
+    nz = bet != 0
+    derivative = _contraction(gam[nz], bet[nz], wt[nz], dlt[nz],
+                              len(_basis(n, max(deg - 1, 0)).alphas))
+    return _ZoomPairs(gam, bet, dlt, wt, derivative)
+
+
+def _zoom_matrix(g: HermitePoly, lam) -> np.ndarray:
+    """C[beta, gamma - beta] = ghat(gamma) sqrt(Pr[Bin(gamma, lam) = beta])
+    over the graded basis of degree <= deg g: row beta is the coefficient
+    row of c_beta, so the zoom at x has coefficients C @ h(x)."""
+    deg = g.degree()
+    t = _zoom_pairs(g.n, deg, lam)
+    C = np.zeros((len(_basis(g.n, deg).alphas),) * 2)
+    C[t.beta, t.delta] = _to_dense(g, deg)[t.gamma] * t.sqrt_pmf
+    return C
+
+
 def zoom_coefficient_polys(g: HermitePoly, lam: float):
     """The zoom coefficients of g at scale lam, as polynomials of the center.
 
     Returns a dict beta -> HermitePoly c_beta with
-    c_beta(x) = coefficient of h_beta in the zoom of g at x.  There are
-    finitely many beta (those dominated by some stored gamma).
+    c_beta(x) = coefficient of h_beta in the zoom of g at x, for the beta
+    whose row of the zoom matrix is nonzero.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"zoom scale {lam} outside [0, 1]")
-    acc = {}
-    for gamma, c in g.coeffs.items():
-        for beta in _sub_indices(gamma):
-            p = _pmf_prod(gamma, beta, lam)
-            if p == 0.0:
-                continue
-            delta = tuple(gg - bb for gg, bb in zip(gamma, beta))
-            bucket = acc.setdefault(tuple(beta), {})
-            bucket[delta] = bucket.get(delta, 0.0) + c * math.sqrt(p)
-    return {beta: HermitePoly(g.n, bucket) for beta, bucket in acc.items()}
+    C = _zoom_matrix(g, lam)
+    deg = g.degree()
+    alphas = _basis(g.n, deg).alphas
+    return {alphas[b]: _from_dense(g.n, deg, C[b])
+            for b in np.flatnonzero(C.any(axis=1))}
 
 
 def zoom(g: HermitePoly, spec: ZoomSpec) -> HermitePoly:
     """The polynomial y -> g(sqrt(1-lam) x + sqrt(lam) y), exactly."""
     if spec.center.shape != (g.n,):
         raise ValueError(f"center has shape {spec.center.shape}, expected ({g.n},)")
-    cpolys = zoom_coefficient_polys(g, spec.lam)
-    coeffs = {}
-    for beta, cpoly in cpolys.items():
-        v = cpoly.eval(spec.center)
-        if v != 0.0:
-            coeffs[beta] = v
-    return HermitePoly(g.n, coeffs)
+    deg = g.degree()
+    h = _design(spec.center[None, :], deg)[0]
+    return _from_dense(g.n, deg, _zoom_matrix(g, spec.lam) @ h)
+
+
+def _zoom_level_weights(g: HermitePoly, lam, X) -> np.ndarray:
+    """(B, deg g + 1): the squared zoom coefficients c_beta(x)^2 at each
+    center x of X, summed per Hermite level |beta|."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != g.n:
+        raise ValueError(f"batch has shape {X.shape}, expected (B, {g.n})")
+    deg = g.degree()
+    V = _design(X, deg) @ _zoom_matrix(g, lam).T  # V[b, beta] = c_beta(x_b)
+    starts = np.searchsorted(_basis(g.n, deg).levels, np.arange(deg + 1))
+    return np.add.reduceat(V * V, starts, axis=1)
 
 
 def zoom_hypervar_and_norm_batch(g: HermitePoly, lam: float, X, R: float):
-    """Exact HyperVar_R[zoom of g at x] and ||zoom at x||_2^2 for a batch of x.
-
-    Both are sums of squared zoom coefficient polynomials, so one pass over
-    the coefficient polys serves every point.
-    """
-    X = np.asarray(X, dtype=float)
-    hv = np.zeros(X.shape[0])
-    n2 = np.zeros(X.shape[0])
-    for beta, cpoly in zoom_coefficient_polys(g, lam).items():
-        v2 = cpoly.eval_batch(X) ** 2
-        n2 += v2
-        db = total_degree(beta)
-        if db:
-            hv += R ** (2 * db) * v2
-    return hv, n2
+    """Exact HyperVar_R[zoom of g at x] and ||zoom at x||_2^2 for a batch of x,
+    both from the per-level zoom weights."""
+    W = _zoom_level_weights(g, lam, X)
+    amp = R ** (2.0 * np.arange(W.shape[1]))
+    return W[:, 1:] @ amp[1:], W.sum(axis=1)
 
 
 def noise_op(g: HermitePoly, rho: float) -> HermitePoly:
@@ -216,35 +255,11 @@ def amplified_derivative(g, y, y2, R, lam) -> HermitePoly:
     return _from_dense(g.n, max(deg - 1, 0), row[0])
 
 
-@functools.lru_cache(maxsize=64)
-def _derivative_pairs(n, deg, lam):
-    """The zoom coefficient identity as a table of (gamma, beta, gamma - beta,
-    sqrt Pr[Bin(gamma, lam) = beta]) over the graded basis of degree <= deg,
-    for beta != 0; gamma - beta lands in the basis of degree <= deg - 1."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"zoom scale {lam} outside [0, 1]")
-    basis = _basis(n, deg)
-    low = _basis(n, max(deg - 1, 0)).pos
-    gam, bet, wt, tgt = [], [], [], []
-    for ig, gamma in enumerate(basis.alphas):
-        for beta in _sub_indices(gamma):
-            if not any(beta):
-                continue
-            p = _pmf_prod(gamma, beta, lam)
-            if p == 0.0:
-                continue
-            gam.append(ig)
-            bet.append(basis.pos[beta])
-            wt.append(math.sqrt(p))
-            tgt.append(low[tuple(g - b for g, b in zip(gamma, beta))])
-    return _contraction(gam, bet, wt, tgt, len(low))
-
-
 def _amplified_derivative_rows(G, n, deg, Y, Y2, R, lam) -> np.ndarray:
     """Row t: the coefficients (degree <= deg - 1) of amplified_derivative
     of the polynomial with coefficient row G[t] (degree <= deg) along the
-    directions Y[t], Y2[t]; one contraction over the pair table."""
-    table = _derivative_pairs(n, deg, lam)
+    directions Y[t], Y2[t]; one contraction over the zoom table."""
+    table = _zoom_pairs(n, deg, lam).derivative
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     W = R ** _basis(n, deg).levels * (_design(Y, deg) - _design(Y2, deg))
     W *= inv_sqrt2

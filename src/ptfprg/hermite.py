@@ -251,10 +251,14 @@ class HermitePoly:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Parse the polynomial JSON format; accepts either basis."""
+        """Parse the polynomial JSON format (either basis, finite coeffs)."""
         n = int(d["n"])
         basis = d.get("basis", "hermite")
         terms = [(tuple(t["alpha"]), float(t["coeff"])) for t in d["terms"]]
+        for alpha, c in terms:
+            if not math.isfinite(c):
+                raise ValueError(f"term alpha={list(alpha)} has coefficient "
+                                 f"{c}; coefficients must be finite")
         if basis == "hermite":
             return cls(n, dict(terms))
         if basis == "monomial":

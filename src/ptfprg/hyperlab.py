@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussops import (directional_derivative, hypervar,
-                       zoom_coefficient_polys, zoom_hypervar_and_norm_batch)
-from .hermite import HermitePoly, total_degree
+from .gaussops import (_zoom_level_weights, directional_derivative, hypervar,
+                       mult_close, zoom_hypervar_and_norm_batch)
+from .hermite import HermitePoly
 from .seeding import substream
 from .statgrid import PolySampler
 
@@ -191,20 +191,11 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
     n = sampler.base.n
     rng = substream(master_seed, "retention")
 
-    def averages(func, X):
-        if sampler.dirac:
-            return func(sampler.base, X)
-        acc = np.zeros(X.shape[0])
-        for _ in range(inner_trials):
-            acc += func(sampler.sample(), X)
-        return acc / inner_trials
-
     # precondition: attenuated on average above level k at amplification S
     if sampler.dirac:
         base_hv = hypervar(sampler.base, S, above_level=k)
         base_n2 = sampler.base.sq2norm()
     else:
-        rng2 = substream(master_seed, "retention-pre")
         svals = []
         for _ in range(inner_trials):
             f = sampler.sample()
@@ -215,23 +206,19 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
         raise ValueError("sampler is not (k, S, 1)-attenuated on average")
 
     X = rng.standard_normal((trials, n))
-
-    def zoom_n2(g, Xb):
-        _, n2 = zoom_hypervar_and_norm_batch(g, lam, Xb, 1.0)
-        return n2
-
-    def zoom_hv_high(g, Xb):
-        m = max(1, math.ceil(k / 2))
-        hv = np.zeros(Xb.shape[0])
-        for beta, cpoly in zoom_coefficient_polys(g, lam).items():
-            db = total_degree(beta)
-            if db >= m:
-                hv += S ** (2 * db) * cpoly.eval_batch(Xb) ** 2
-        return hv
-
-    zn2 = averages(zoom_n2, X)
-    zhv = averages(zoom_hv_high, X)
     m = max(1, math.ceil(k / 2))
+
+    def zoom_stats(g):
+        # the zoom's squared 2-norm and S-amplified weight at levels >= m
+        W = _zoom_level_weights(g, lam, X)
+        amp = S ** (2.0 * np.arange(m, W.shape[1]))
+        return np.stack([W.sum(axis=1), W[:, m:] @ amp])
+
+    if sampler.dirac:
+        zn2, zhv = zoom_stats(sampler.base)
+    else:
+        zn2, zhv = sum(zoom_stats(sampler.sample())
+                       for _ in range(inner_trials)) / inner_trials
     err = math.sqrt(0.25 / trials)
     retention, attrition = {}, {}
     for c in sweep:
@@ -287,14 +274,10 @@ def zoom_ratio_check(g: HermitePoly, lam, beta, trials=10_000, master_seed=0,
     zy = g.eval_batch(math.sqrt(1.0 - lam) * X + math.sqrt(lam) * Y)
     err = math.sqrt(0.25 / trials)
     fractions = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(np.abs(zy) / np.abs(gx))
     for c in sweep:
         nu = c * d * d * math.sqrt(lam) / beta
-        ok = (gx * zy > 0) & (np.abs(log_ratio) <= nu)
-        both_zero = (gx == 0) & (zy == 0)
-        fractions[c] = {"nu": nu,
-                        "fraction": float(1.0 - (ok | both_zero).mean())}
+        fractions[c] = {"nu": nu, "fraction":
+                        float(1.0 - mult_close(zy, gx, nu).mean())}
     passing = [c for c in sweep
                if fractions[c]["nu"] <= 1.0
                and fractions[c]["fraction"] <= beta + 4.0 * err]

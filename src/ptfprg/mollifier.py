@@ -200,10 +200,16 @@ def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid = None,
                                           failed_checks)]
 
 
-@dataclass
+@dataclass(eq=False)
 class AnalysisCheckReport:
-    results: list  # ordered (check id, holds)
+    _labels: list        # check ids in evaluation order, shared by a batch
+    _holds: np.ndarray   # this center's row of the batch's holds matrix
     first_failure: str = None
+
+    @property
+    def results(self):
+        """Ordered (check id, holds) pairs."""
+        return list(zip(self._labels, self._holds.tolist()))
 
     @property
     def all_hold(self):
@@ -250,6 +256,5 @@ def analysis_checks_eval_batch(p: HermitePoly, params, X,
                          <= 100.0 * params.lambda_hat * vals[i][:, 2])
     holds = np.array(holds).T
     first = np.where(holds.all(axis=1), -1, (~holds).argmax(axis=1))
-    return [AnalysisCheckReport(results=list(zip(labels, row)),
-                                first_failure=labels[f] if f >= 0 else None)
-            for row, f in zip(holds.tolist(), first.tolist())]
+    return [AnalysisCheckReport(labels, row, labels[f] if f >= 0 else None)
+            for row, f in zip(holds, first.tolist())]

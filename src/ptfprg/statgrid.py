@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussops import (_amplified_derivative_rows, _derivative_pairs,
-                       amplified_derivative, hypervar, zoom,
-                       zoom_coefficient_polys, ZoomSpec)
+from .gaussops import (_amplified_derivative_rows, _zoom_matrix, _zoom_pairs,
+                       amplified_derivative, hypervar, zoom, ZoomSpec)
 from .hermite import (HermitePoly, _basis, _design, _from_dense,
                       _square_rows, _square_table, _to_dense)
 from .seeding import substream
@@ -124,14 +123,10 @@ class StatGrid:
         if i == 0:
             return 2 * deg, _square_rows(_to_dense(self.p, deg)[None, :],
                                          n, deg)
+        # rows beta != 0 of the zoom matrix; c_beta has degree <= deg - 1
         e = max(deg - 1, 0)
-        cpolys = [(beta, cpoly) for beta, cpoly
-                  in zoom_coefficient_polys(self.p, self.lam).items()
-                  if any(beta)]
-        C = np.zeros((len(cpolys), len(_basis(n, e).alphas)))
-        for r, (_, cpoly) in enumerate(cpolys):
-            C[r] = _to_dense(cpoly, e)
-        weights = np.array([self.R ** (2 * sum(beta)) for beta, _ in cpolys])
+        C = _zoom_matrix(self.p, self.lam)[1:, :len(_basis(n, e).alphas)]
+        weights = self.R ** (2 * _basis(n, deg).levels[1:])
         return 2 * e, (weights @ _square_rows(C, n, e))[None, :]
 
     def exact_row_poly(self, i) -> HermitePoly:
@@ -160,7 +155,7 @@ class StatGrid:
         draws = rng.standard_normal((T, i, 2, n))
         deg = self.p.degree()
         degs = [max(deg - k, 0) for k in range(i + 1)]
-        width = max([len(_derivative_pairs(n, e, self.lam).left)
+        width = max([len(_zoom_pairs(n, e, self.lam).derivative.left)
                      for e in degs[:-1]]
                     + [len(_square_table(n, degs[-1]).left)])
         step = max(1, BLOCK_ELEMS // width)

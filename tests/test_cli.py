@@ -79,6 +79,22 @@ class TestFool:
         assert r.returncode != 0
         assert "#0" in r.stderr
 
+    def test_nonfinite_coefficient_one_line_error(self, tmp_path):
+        # json.dump writes NaN, which json.load reads back
+        poly = {"n": 2, "basis": "hermite",
+                "terms": [{"alpha": [1, 0], "coeff": 1.0},
+                          {"alpha": [0, 1], "coeff": float("nan")}]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps([poly]))
+        r = run_cli(["fool", "--polys", str(path), "--n", "2", "--d", "1",
+                     "--samples", "200"])
+        assert r.returncode == 1
+        assert r.stdout == ""
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("polynomial #0: ")
+        assert "alpha=[0, 1]" in lines[0]
+
 
 class TestMollifierCmd:
     def test_row_schema(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -57,15 +58,20 @@ class TestZoom:
         assert z.coeffs[(0,)] == pytest.approx(0.5 * (-1 / math.sqrt(2)))
 
     def test_against_substitution_oracle(self):
-        # zoom(g, lam, x)(y) must equal g(sqrt(1-lam) x + sqrt(lam) y)
-        g = random_poly(2, 3, RNG)
-        lam = 0.35
-        x = RNG.standard_normal(2)
-        z = zoom(g, ZoomSpec(lam, x))
-        for _ in range(10):
-            y = RNG.standard_normal(2)
-            want = g.eval(np.sqrt(1 - lam) * x + np.sqrt(lam) * y)
-            assert z.eval(y) == pytest.approx(want, rel=1e-9, abs=1e-10)
+        # zoom(g, lam, x)(y) must equal g(sqrt(1-lam) x + sqrt(lam) y): the
+        # zoom table's reference, independent of the coefficient identity
+        rng = np.random.default_rng(22)
+        for n in range(1, 5):
+            for d in range(5):
+                for lam in (0.0, 0.35, 1.0):
+                    g = random_poly(n, d, rng)
+                    x = rng.standard_normal(n)
+                    z = zoom(g, ZoomSpec(lam, x))
+                    for _ in range(10):
+                        y = rng.standard_normal(n)
+                        want = g.eval(np.sqrt(1 - lam) * x + np.sqrt(lam) * y)
+                        assert z.eval(y) == pytest.approx(
+                            want, rel=1e-9, abs=1e-10), (n, d, lam)
 
     def test_mean_is_noise_operator(self):
         # E_y[zoom(g, lam, x)(y)] = (U_{sqrt(1-lam)} g)(x), at 20 points
@@ -89,6 +95,31 @@ class TestZoom:
     def test_center_dimension(self):
         with pytest.raises(ValueError):
             zoom(HermitePoly(2, {(1, 0): 1.0}), ZoomSpec(0.5, np.zeros(3)))
+
+
+# sha256 of every zoom coefficient of the polynomials below, recorded with
+# the sparse per-term loop that built zoom_coefficient_polys before the zoom
+# table: each coefficient is one product ghat(gamma) * sqrt(pmf), so the
+# table must give the same keys and the same bits.
+ZOOM_COEFF_SHA256 = \
+    "8c71ab3df7d6c4a70426d96a6b7d931ef241eb4a1ef3d307deb7dfafdf71d9dc"
+
+
+class TestZoomCoefficientGolden:
+    def test_bits_match_recorded_digest(self):
+        rng = np.random.default_rng(55)
+        polys = [random_poly(n, d, rng) for n, d in
+                 [(1, 0), (1, 4), (2, 2), (3, 3), (4, 3), (4, 4)]]
+        # one sparse polynomial at n = 10
+        polys.append(HermitePoly(10, {
+            tuple(rng.multinomial(k, [0.1] * 10)): rng.standard_normal()
+            for k in (1, 2, 3, 4, 4, 4)}))
+        h = hashlib.sha256()
+        for g in polys:
+            for lam in (0.0, 0.3, 1.0):
+                for beta, cpoly in sorted(zoom_coefficient_polys(g, lam).items()):
+                    h.update(repr((beta, sorted(cpoly.coeffs.items()))).encode())
+        assert h.hexdigest() == ZOOM_COEFF_SHA256
 
 
 class TestZoomWeightIdentities:

@@ -180,6 +180,17 @@ class TestJson:
         with pytest.raises(ValueError):
             HermitePoly.from_json_dict({"n": 1, "basis": "x", "terms": []})
 
+    @pytest.mark.parametrize("basis", ["hermite", "monomial"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_rejected(self, basis, bad):
+        doc = {"n": 2, "basis": basis,
+               "terms": [{"alpha": [0, 0], "coeff": 1.0},
+                         {"alpha": [1, 2], "coeff": bad}]}
+        with pytest.raises(ValueError, match=r"alpha=\[1, 2\].*finite"):
+            HermitePoly.from_json_dict(doc)
+        with pytest.raises(ValueError, match=r"alpha=\[1, 2\]"):
+            HermitePoly.from_json(json.dumps(doc))
+
     def test_json_is_canonical(self):
         g = HermitePoly(2, {(0, 1): 2.0, (1, 0): 1.0})
         assert json.loads(g.to_json())["basis"] == "hermite"

@@ -17,25 +17,26 @@ from ptfprg.statgrid import PolySampler
 RNG = np.random.default_rng(60)
 
 
-# Verdicts of the four closeness tests that mult_close replaced, recorded
+# Verdicts of the five closeness tests that mult_close replaced, recorded
 # before they were merged: hyperlab's and verify's (same-sign pairs), the
-# mollifier's hard checks (positive operands only, band [1/e^nu, e^nu]) and
-# the battery's noise-insensitivity report (positive operands only).
+# mollifier's hard checks (positive operands only, band [1/e^nu, e^nu]), the
+# battery's noise-insensitivity report (positive operands only) and
+# zoom_ratio_check's (same-sign pairs, a = zoom value, b = center value).
 _NU = 0.001  # 1/e^nu and e^-nu differ in the last bit here
 CLOSENESS_TABLE = [
-    # a, b, nu, hyperlab, verify, mollifier, battery
-    (0.0, 0.0, 0.5, True, True, True, True),
-    (1.0, math.e, 1.0, True, True, True, True),
-    (math.e, 1.0, 1.0, True, True, True, True),
-    (1.0, math.e * 1.01, 1.0, False, False, False, False),
-    (-1.0, -math.e, 1.0, True, True, False, False),
-    (-1.0, -3.0, 1.0, False, False, False, False),
-    (1.0, -1.0, 10.0, False, False, False, False),
-    (0.0, 1.0, 1.0, False, False, False, False),
-    (1.0, 0.0, 1.0, False, False, False, False),
-    (1e-200, 1e-200, 0.1, False, False, True, True),  # a * b underflowed
-    (1.0 / math.exp(_NU), 1.0, _NU, False, False, True, False),
-    (math.exp(-_NU), 1.0, _NU, True, True, True, True),
+    # a, b, nu, hyperlab, verify, mollifier, battery, zoom_ratio
+    (0.0, 0.0, 0.5, True, True, True, True, True),
+    (1.0, math.e, 1.0, True, True, True, True, True),
+    (math.e, 1.0, 1.0, True, True, True, True, True),
+    (1.0, math.e * 1.01, 1.0, False, False, False, False, False),
+    (-1.0, -math.e, 1.0, True, True, False, False, True),
+    (-1.0, -3.0, 1.0, False, False, False, False, False),
+    (1.0, -1.0, 10.0, False, False, False, False, False),
+    (0.0, 1.0, 1.0, False, False, False, False, False),
+    (1.0, 0.0, 1.0, False, False, False, False, False),
+    (1e-200, 1e-200, 0.1, False, False, True, True, False),  # a * b underflowed
+    (1.0 / math.exp(_NU), 1.0, _NU, False, False, True, False, False),
+    (math.exp(-_NU), 1.0, _NU, True, True, True, True, True),
 ]
 
 
@@ -53,10 +54,13 @@ class TestApproxEq:
     def test_replaced_copies_table(self):
         # one convention: the ratio in [e^-nu, e^nu].  On nonnegative
         # operands (every grid statistic) it agrees with the battery's copy;
-        # on negative ones with hyperlab's and verify's, which accepted
-        # same-sign pairs where mollifier and the battery rejected them.
-        a, b, nu, hyper, ver, moll, batt = map(np.array, zip(*CLOSENESS_TABLE))
+        # on negative ones with hyperlab's, verify's and zoom_ratio_check's,
+        # which accepted same-sign pairs where mollifier and the battery
+        # rejected them.
+        a, b, nu, hyper, ver, moll, batt, zratio = map(np.array,
+                                                       zip(*CLOSENESS_TABLE))
         assert np.array_equal(hyper, ver)
+        assert np.array_equal(hyper, zratio)
         want = np.where((a >= 0) & (b >= 0), batt, hyper)
         got = np.array([mult_close(*row[:3]) for row in CLOSENESS_TABLE])
         assert np.array_equal(got, want)

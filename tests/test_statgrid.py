@@ -197,13 +197,13 @@ class TestBatchedRows:
                 assert np.array_equal(one_errs[:, 0], errs[:, c]), (i, j)
 
     def test_cold_row_build_memory_bounded(self):
-        # pair and linearization tables plus the sample blocks stay small;
+        # zoom and linearization tables plus the sample blocks stay small;
         # the squares themselves are 2000 x 210 coefficients (3.4 MB)
         params = choose_params(6, 4, 0.2, lambda_exp=1.0, M=16)
         p = random_poly(6, 4, np.random.default_rng(13))
         grid = StatGrid(p, params, master_seed=1, mc_trials=2000)
         for cache in (hermite._basis, hermite._square_table,
-                      gaussops._derivative_pairs):
+                      gaussops._zoom_pairs):
             cache.cache_clear()
         tracemalloc.start()
         try:
