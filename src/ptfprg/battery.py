@@ -17,10 +17,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import verify
-from .gaussops import (_zoom_matrix, amplified_derivative, binom_pmf_row,
-                       hypervar, is_attenuated, mult_close, noise_op,
-                       zoom_coefficient_polys, zoom_hypervar_and_norm_batch)
-from .hermite import (HermitePoly, _basis, _design, hermite_values,
+from .gaussops import (_pairs, _zoom_matrix, amplified_derivative,
+                       binom_pmf_row, hypervar, is_attenuated, mult_close,
+                       noise_op, zoom_coefficient_polys,
+                       zoom_hypervar_and_norm_batch)
+from .hermite import (HermitePoly, _design, _monomial_tables, hermite_values,
                       random_poly, total_degree)
 from .hyperlab import (carbery_wright_check, hypercon_check,
                        zoom_ratio_check, local_hyperconc_experiment)
@@ -81,34 +82,36 @@ def builtin_suite(seed=0):
         a = rng.standard_normal(n)
         return a, float(rng.standard_normal())
 
+    def linear(a):
+        # sum_i a_i x_i, and x_i = h_1(x_i)
+        n = len(a)
+        return HermitePoly.from_monomial_basis(
+            n, [(tuple(int(i == j) for j in range(n)), a[i]) for i in range(n)])
+
     for n, d in [(4, 2), (8, 2), (2, 3), (4, 3)]:
         prod = HermitePoly.constant(n, 1.0)
         for _ in range(d):
             a, b = linear_form(n)
-            factor = HermitePoly(n, {tuple(int(i == j) for j in range(n)): a[i]
-                                     for i in range(n)})
-            prod = prod * (factor + HermitePoly.constant(n, b))
+            prod = prod * (linear(a) + HermitePoly.constant(n, b))
         add(f"linprod-n{n}d{d}", n, d, prod)
 
     for n, d in [(8, 1), (4, 2), (4, 3)]:
         a, _ = linear_form(n)
-        a = a / np.linalg.norm(a)
-        t = HermitePoly.from_monomial_basis(
-            n, [(tuple(int(i == j) for j in range(n)), a[i]) for i in range(n)])
-        hd = HermitePoly.constant(n, 0.0)
-        from .hermite import _hermite_to_monomial_1d
-        power_cache = {0: HermitePoly.constant(n, 1.0)}
-        for k in range(1, d + 1):
-            power_cache[k] = power_cache[k - 1] * t
-        for j, c in _hermite_to_monomial_1d(d):
-            hd = hd + power_cache[j].scale(c)
+        t = linear(a / np.linalg.norm(a))
+        powers = [HermitePoly.constant(n, 1.0)]
+        for _ in range(d):
+            powers.append(powers[-1] * t)
+        hd = HermitePoly.zero(n)  # h_d(t) = sum_j Q[d, j] t^j
+        Q = _monomial_tables(d)[1]
+        for j in range(d % 2, d + 1, 2):
+            hd = hd + powers[j].scale(Q[d, j])
         add(f"hlin-n{n}d{d}", n, d, hd)
 
     # sign oracle case: h_1^2 - median(chi^2_1) has E[sign] = 0 exactly
     from scipy.stats import chi2
     c = float(chi2.ppf(0.5, 1))
-    add("chisq-n2d2", 2, 2, HermitePoly(2, {(2, 0): math.sqrt(2.0),
-                                            (0, 0): 1.0 - c}))
+    add("chisq-n2d2", 2, 2, HermitePoly.basis(2, (2, 0), math.sqrt(2.0))
+        + HermitePoly.constant(2, 1.0 - c))
     return entries
 
 
@@ -314,7 +317,7 @@ def check_stability_forms(cfg):
     degen = stability_closed_forms(random_poly(1, 2, rng), 1.0, 0.0, 0.5)
     ok &= abs(degen.p_lhs) <= 1e-12
     # documented reversal below unit amplification: dominant level-2 weight
-    rev = stability_closed_forms(HermitePoly(1, {(2,): 1.0}), 0.3, 0.2, 0.1)
+    rev = stability_closed_forms(HermitePoly.basis(1, (2,)), 0.3, 0.2, 0.1)
     ok &= rev.p_lhs > rev.p_rhs
     return {"pass": ok}
 
@@ -481,7 +484,7 @@ def check_smoothing_chain(cfg):
         hyp_count += rep["hypothesis_holds"]
     ok &= hyp_count >= 3
     # adversarial: big q, top-heavy square; hypothesis must be reported
-    heavy = HermitePoly(1, {(2,): 1.0})
+    heavy = HermitePoly.basis(1, (2,))
     rep = smoothing_chain_experiment(heavy * heavy, q=0.5, x=np.array([0.1]),
                                  gamma=1e-4)
     ok &= not rep["applicable"]
@@ -562,7 +565,8 @@ def check_carbery_wright(cfg):
     g = random_poly(3, 3, rng)
     rep = carbery_wright_check(g, 0.3, trials=trials, master_seed=cfg.seed)
     # linear case with a closed-form normal-CDF oracle
-    lin = HermitePoly(2, {(1, 0): 0.8, (0, 1): 0.6, (0, 0): 0.25})
+    lin = HermitePoly.from_monomial_basis(
+        2, [((1, 0), 0.8), ((0, 1), 0.6), ((0, 0), 0.25)])
     thr = (0.5 / (2.0 * 1.0)) ** 1 * math.sqrt(lin.sq2norm())
     exact = float(ndtr((thr - 0.25)) - ndtr((-thr - 0.25)))
     rep_lin = carbery_wright_check(lin, 0.5, trials=trials,
@@ -588,8 +592,8 @@ def check_hypermarkov(cfg):
     """Multiplicative tail of a certified hyperconcentrated polynomial."""
     rng = substream(cfg.seed, "hypermarkov")
     trials = max(cfg.trials * 10, 40_000)
-    g = HermitePoly(2, {(0, 0): 4.0, (1, 0): 0.22, (0, 1): -0.18,
-                        (1, 1): 0.08})
+    g = HermitePoly.from_monomial_basis(  # multilinear: monomials are h's
+        2, [((0, 0), 4.0), ((1, 0), 0.22), ((0, 1), -0.18), ((1, 1), 0.08)])
     q = 4.0
     R = math.sqrt(q - 1.0)
     mu = g.mean()
@@ -695,21 +699,23 @@ def check_stability_forms_mc(cfg):
     # z, y, y2 of every trial, in the order a per-trial loop draws them
     Z, Y, Y2 = rng.standard_normal((trials, 3, 2)).transpose(1, 0, 2)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    deg = g.degree()
     # lhs: U_{r'} of the zoom of g at z, differenced at sqrt(1-lam) x +
     # sqrt(lam) y and y2; the zoom's coefficients c_beta(z) are h(Z) C^T
     U = math.sqrt(1.0 - lam) * x + math.sqrt(lam) * Y
     U2 = math.sqrt(1.0 - lam) * x + math.sqrt(lam) * Y2
-    diff = (r_prime ** _basis(2, deg).levels
-            * (_design(Z, deg) @ _zoom_matrix(g, rho).T)
-            * (_design(U, deg) - _design(U2, deg))).sum(axis=1)
+    t = _pairs(g.support, rho)
+    diff = (r_prime ** t.levels
+            * (_design(Z, t.down) @ _zoom_matrix(t, g.vector).T)
+            * (_design(U, t.down) - _design(U2, t.down))).sum(axis=1)
     lhs_vals = (diff * inv_sqrt2) ** 2
     # rhs: the amplified derivative w of U_{r'} g along (y, y2), zoomed at z
     # and read at x, is w at sqrt(1-rho) z + sqrt(rho) x (the beta = 0 term
     # is h_0(y) - h_0(y2) = 0)
     V = math.sqrt(1.0 - rho) * Z + math.sqrt(rho) * x
-    w = ((_design(Y, deg) - _design(Y2, deg)) * inv_sqrt2
-         * (_design(V, deg) @ _zoom_matrix(noise_op(g, r_prime), lam).T)
+    smoothed = noise_op(g, r_prime)
+    t = _pairs(smoothed.support, lam)
+    w = ((_design(Y, t.down) - _design(Y2, t.down)) * inv_sqrt2
+         * (_design(V, t.down) @ _zoom_matrix(t, smoothed.vector).T)
          ).sum(axis=1)
     rhs_vals = w ** 2
     rep = {}

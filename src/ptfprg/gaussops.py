@@ -8,7 +8,8 @@ computed exactly from the coefficient identity
                        * sqrt(Pr[Bin(gamma, lambda) = beta]) * h_{gamma-beta}(x),
 
 where Bin(gamma, lambda) is the componentwise binomial, from one cached
-table per (n, degree, lambda) that every zoom operator here reads.
+table per (support, lambda) that every zoom operator here reads.  It spans
+the down-set of the support, so a zoom costs time in the polynomial's terms.
 Everything here is symbolic/exact; Monte Carlo only enters in the test
 suites that check these operators against their probabilistic definitions.
 """
@@ -16,16 +17,15 @@ suites that check these operators against their probabilistic definitions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import (HermitePoly, _basis, _contraction, _Contraction,
-                      _design, _from_dense, _segment_sum, _to_dense,
-                      total_degree)
+from .hermite import (HermitePoly, _canonical, _contraction, _Contraction,
+                      _design, _frozen, _graded_unique, _segment_sum,
+                      _tensor_expand)
 
 __all__ = [
     "ZoomSpec",
@@ -65,40 +65,25 @@ class AttenuationReport:
     attenuated: bool
 
 
-def binom_pmf_row(m, lam, _cache={}):
-    """Pr[Bin(m, lam) = j] for j = 0..m, by the stable two-term recurrence."""
-    key = (m, lam)
-    row = _cache.get(key)
-    if row is None:
-        row = np.zeros(m + 1)
-        row[0] = 1.0
-        for i in range(1, m + 1):
-            prev = row[: i + 1].copy()
-            row[: i + 1] = (1.0 - lam) * prev
-            row[1 : i + 1] += lam * prev[:i]
-        if len(_cache) > 4096:
-            _cache.clear()
-        _cache[key] = row
-    return row
-
-
-def _pmf_prod(gamma, beta, lam):
-    p = 1.0
-    for g, b in zip(gamma, beta):
-        p *= binom_pmf_row(g, lam)[b]
-        if p == 0.0:
-            return 0.0
-    return p
-
-
-def _sub_indices(gamma):
-    """All beta with 0 <= beta <= gamma componentwise."""
-    return itertools.product(*(range(g + 1) for g in gamma))
+@functools.lru_cache(maxsize=4096)
+def binom_pmf_row(m, lam):
+    """Pr[Bin(m, lam) = j] for j = 0..m, by the stable two-term recurrence
+    (read-only)."""
+    row = np.zeros(m + 1)
+    row[0] = 1.0
+    for i in range(1, m + 1):
+        prev = row[: i + 1].copy()
+        row[: i + 1] = (1.0 - lam) * prev
+        row[1 : i + 1] += lam * prev[:i]
+    return _frozen(row)
 
 
 class _ZoomPairs(NamedTuple):
-    """Entries (gamma, beta, delta = gamma - beta, sqrt pmf), as positions in
-    the graded basis: c_beta has the term ghat(gamma) sqrt pmf h_delta."""
+    """Entries (gamma, beta, delta = gamma - beta, sqrt pmf): gamma indexes a
+    graded support, beta and delta its down-set; c_beta has the term
+    ghat(gamma) sqrt pmf h_delta."""
+    down: np.ndarray      # the down-set {beta <= some gamma}, graded order
+    levels: np.ndarray    # total degree of each down-set row
     gamma: np.ndarray
     beta: np.ndarray
     delta: np.ndarray
@@ -107,37 +92,47 @@ class _ZoomPairs(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _zoom_pairs(n, deg, lam) -> _ZoomPairs:
-    """The zoom coefficient identity over the graded basis of degree <= deg,
-    every beta including 0, pairs of probability 0 left out.  For beta != 0,
-    gamma - beta lands in the derivative's basis of degree <= deg - 1."""
+def _zoom_pairs(n, support, lam) -> _ZoomPairs:
+    """The zoom coefficient identity for a graded support (the bytes of its
+    (T, n) intp array), every beta including 0, pairs of probability 0 left
+    out, by gamma and then beta lexicographically.  For beta != 0, gamma -
+    beta lands in the down-set's prefix of degree <= deg - 1."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"zoom scale {lam} outside [0, 1]")
-    pos = _basis(n, deg).pos
-    entries = []
-    for ig, gamma in enumerate(_basis(n, deg).alphas):
-        for beta in _sub_indices(gamma):
-            p = _pmf_prod(gamma, beta, lam)
-            if p != 0.0:
-                delta = tuple(g - b for g, b in zip(gamma, beta))
-                entries.append((ig, pos[beta], pos[delta], math.sqrt(p)))
-    gam, bet, dlt, wt = (np.array(col) for col in zip(*entries))
-    for a in (gam, bet, dlt, wt):
-        a.flags.writeable = False
-    nz = bet != 0
-    derivative = _contraction(gam[nz], bet[nz], wt[nz], dlt[nz],
-                              len(_basis(n, max(deg - 1, 0)).alphas))
-    return _ZoomPairs(gam, bet, dlt, wt, derivative)
+    S = np.frombuffer(support, dtype=np.intp).reshape(-1, n)
+    gam, beta = _tensor_expand(S + 1)
+    gamma = S[gam]
+    deg = int(S[-1].sum()) if len(S) else 0
+    pmf = np.array([np.r_[binom_pmf_row(m, lam), np.zeros(deg - m)]
+                    for m in range(deg + 1)])  # pmf[m, j] = Pr[Bin(m) = j]
+    p = np.ones(len(gam))
+    for i in range(n):
+        p *= pmf[gamma[:, i], beta[:, i]]
+    down, pos = _graded_unique(np.concatenate(
+        [np.zeros((1, n), dtype=np.intp), beta, gamma - beta]))
+    nz = p != 0.0
+    bet, dlt = pos[1:].reshape(2, -1)[:, nz]
+    gam, wt = gam[nz], np.sqrt(p[nz])
+    levels = down.sum(axis=1)
+    d = bet != 0
+    size = int(np.searchsorted(levels, max(deg - 1, 0), side="right"))
+    derivative = _contraction(gam[d], bet[d], wt[d], dlt[d], size)
+    return _ZoomPairs(*map(_frozen, (down, levels, gam, bet, dlt, wt)),
+                      derivative)
 
 
-def _zoom_matrix(g: HermitePoly, lam) -> np.ndarray:
+def _pairs(support, lam) -> _ZoomPairs:
+    """The zoom table over the down-set of a graded support."""
+    return _zoom_pairs(support.shape[1], support.tobytes(), lam)
+
+
+def _zoom_matrix(t: _ZoomPairs, vector) -> np.ndarray:
     """C[beta, gamma - beta] = ghat(gamma) sqrt(Pr[Bin(gamma, lam) = beta])
-    over the graded basis of degree <= deg g: row beta is the coefficient
-    row of c_beta, so the zoom at x has coefficients C @ h(x)."""
-    deg = g.degree()
-    t = _zoom_pairs(g.n, deg, lam)
-    C = np.zeros((len(_basis(g.n, deg).alphas),) * 2)
-    C[t.beta, t.delta] = _to_dense(g, deg)[t.gamma] * t.sqrt_pmf
+    over t's down-set, for the coefficients `vector` over t's support: row
+    beta is the coefficient row of c_beta, so the zoom at x has coefficients
+    C @ h(x)."""
+    C = np.zeros((len(t.down),) * 2)
+    C[t.beta, t.delta] = vector[t.gamma] * t.sqrt_pmf
     return C
 
 
@@ -148,10 +143,10 @@ def zoom_coefficient_polys(g: HermitePoly, lam: float):
     c_beta(x) = coefficient of h_beta in the zoom of g at x, for the beta
     whose row of the zoom matrix is nonzero.
     """
-    C = _zoom_matrix(g, lam)
-    deg = g.degree()
-    alphas = _basis(g.n, deg).alphas
-    return {alphas[b]: _from_dense(g.n, deg, C[b])
+    t = _pairs(g.support, lam)
+    C = _zoom_matrix(t, g.vector)
+    keys = t.down.tolist()
+    return {tuple(keys[b]): HermitePoly._of(t.down, C[b])
             for b in np.flatnonzero(C.any(axis=1))}
 
 
@@ -159,9 +154,9 @@ def zoom(g: HermitePoly, spec: ZoomSpec) -> HermitePoly:
     """The polynomial y -> g(sqrt(1-lam) x + sqrt(lam) y), exactly."""
     if spec.center.shape != (g.n,):
         raise ValueError(f"center has shape {spec.center.shape}, expected ({g.n},)")
-    deg = g.degree()
-    h = _design(spec.center[None, :], deg)[0]
-    return _from_dense(g.n, deg, _zoom_matrix(g, spec.lam) @ h)
+    t = _pairs(g.support, spec.lam)
+    h = _design(spec.center[None, :], t.down)[0]
+    return HermitePoly._of(t.down, _zoom_matrix(t, g.vector) @ h)
 
 
 def _zoom_level_weights(g: HermitePoly, lam, X) -> np.ndarray:
@@ -170,9 +165,9 @@ def _zoom_level_weights(g: HermitePoly, lam, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != g.n:
         raise ValueError(f"batch has shape {X.shape}, expected (B, {g.n})")
-    deg = g.degree()
-    V = _design(X, deg) @ _zoom_matrix(g, lam).T  # V[b, beta] = c_beta(x_b)
-    starts = np.searchsorted(_basis(g.n, deg).levels, np.arange(deg + 1))
+    t = _pairs(g.support, lam)
+    V = _design(X, t.down) @ _zoom_matrix(t, g.vector).T  # V[b, beta] = c_beta(x_b)
+    starts = np.searchsorted(t.levels, np.arange(t.levels[-1] + 1))
     return np.add.reduceat(V * V, starts, axis=1)
 
 
@@ -184,6 +179,12 @@ def zoom_hypervar_and_norm_batch(g: HermitePoly, lam: float, X, R: float):
     return W[:, 1:] @ amp[1:], W.sum(axis=1)
 
 
+def _level_powers(x, g: HermitePoly) -> np.ndarray:
+    """x ** |alpha| for each support row alpha of g (one float power per
+    level)."""
+    return np.array([x ** k for k in range(g.degree() + 1)])[g.levels]
+
+
 def noise_op(g: HermitePoly, rho: float) -> HermitePoly:
     """Coefficientwise scaling by rho^|alpha|.
 
@@ -193,14 +194,12 @@ def noise_op(g: HermitePoly, rho: float) -> HermitePoly:
     """
     if rho <= 0.0:
         raise ValueError(f"noise parameter {rho} must be positive")
-    return HermitePoly(
-        g.n, {a: c * rho ** total_degree(a) for a, c in g.coeffs.items()}
-    )
+    return HermitePoly._of(g.support, g.vector * _level_powers(rho, g))
 
 
 def stability(g: HermitePoly, rho: float) -> float:
     """sum_alpha rho^|alpha| ghat(alpha)^2."""
-    return sum(c * c * rho ** total_degree(a) for a, c in g.coeffs.items())
+    return sum((g.vector * g.vector * _level_powers(rho, g)).tolist())
 
 
 def hypervar(g: HermitePoly, R: float, above_level: int = 0) -> float:
@@ -211,12 +210,9 @@ def hypervar(g: HermitePoly, R: float, above_level: int = 0) -> float:
     """
     if R <= 0.0:
         raise ValueError(f"amplification {R} must be positive")
-    R2 = R * R
-    return sum(
-        c * c * R2 ** total_degree(a)
-        for a, c in g.coeffs.items()
-        if total_degree(a) > above_level
-    )
+    keep = g.levels > above_level
+    c = g.vector[keep]
+    return sum((c * c * _level_powers(R * R, g)[keep]).tolist())
 
 
 def is_attenuated(g: HermitePoly, k: int, R: float, eps: float) -> AttenuationReport:
@@ -249,19 +245,20 @@ def amplified_derivative(g, y, y2, R, lam) -> HermitePoly:
     y2 = np.asarray(y2, dtype=float)
     if y.shape != (g.n,) or y2.shape != (g.n,):
         raise ValueError(f"direction vectors must have shape ({g.n},)")
-    deg = g.degree()
-    row = _amplified_derivative_rows(_to_dense(g, deg)[None, :], g.n, deg,
-                                     y[None, :], y2[None, :], R, lam)
-    return _from_dense(g.n, max(deg - 1, 0), row[0])
+    t = _pairs(g.support, lam)
+    row = _amplified_derivative_rows(g.vector[None, :], t, y[None, :],
+                                     y2[None, :], R)
+    return HermitePoly._of(t.down[:t.derivative.size], row[0])
 
 
-def _amplified_derivative_rows(G, n, deg, Y, Y2, R, lam) -> np.ndarray:
-    """Row t: the coefficients (degree <= deg - 1) of amplified_derivative
-    of the polynomial with coefficient row G[t] (degree <= deg) along the
-    directions Y[t], Y2[t]; one contraction over the zoom table."""
-    table = _zoom_pairs(n, deg, lam).derivative
+def _amplified_derivative_rows(G, t: _ZoomPairs, Y, Y2, R) -> np.ndarray:
+    """Row r: the coefficients, over the prefix of degree <= deg - 1 of t's
+    down-set, of amplified_derivative of the polynomial with coefficient row
+    G[r] over t's support along the directions Y[r], Y2[r]; one contraction
+    over the zoom table."""
+    table = t.derivative
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    W = R ** _basis(n, deg).levels * (_design(Y, deg) - _design(Y2, deg))
+    W = R ** t.levels * (_design(Y, t.down) - _design(Y2, t.down))
     W *= inv_sqrt2
     terms = G[:, table.left] * table.weight
     terms *= W[:, table.right]
@@ -277,16 +274,10 @@ def directional_derivative(g: HermitePoly, y) -> HermitePoly:
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"direction has shape {y.shape}, expected ({g.n},)")
-    out = {}
-    for alpha, c in g.coeffs.items():
-        for i, a in enumerate(alpha):
-            if a == 0 or y[i] == 0.0:
-                continue
-            down = list(alpha)
-            down[i] = a - 1
-            key = tuple(down)
-            out[key] = out.get(key, 0.0) + c * math.sqrt(a) * y[i]
-    return HermitePoly(g.n, out)
+    term, i = np.nonzero((g.support > 0) & (y != 0.0))
+    rows = g.support[term] - np.eye(g.n, dtype=np.intp)[i]
+    values = g.vector[term] * np.sqrt(g.support[term, i]) * y[i]
+    return HermitePoly._of(*_canonical(rows, values))
 
 
 def mult_close(a, b, nu):

@@ -1,48 +1,45 @@
-"""Sparse multivariate polynomials in the orthonormal Hermite basis.
+"""Multivariate polynomials in the orthonormal Hermite basis.
 
-A polynomial ``g`` on R^n is stored as a sparse map from multi-indices
-``alpha`` (tuples of n naturals) to the coefficient on ``h_alpha``, where
-``h_alpha(x) = prod_i h_{alpha_i}(x_i)`` and ``h_k = H_k / sqrt(k!)`` is the
-normalized probabilists' Hermite polynomial.  The basis is orthonormal under
-the standard Gaussian measure, so means, variances, 2-norms and level weights
+A polynomial ``g`` on R^n is a sum of coefficients on ``h_alpha(x) =
+prod_i h_{alpha_i}(x_i)``, where ``h_k = H_k / sqrt(k!)`` is the normalized
+probabilists' Hermite polynomial.  The basis is orthonormal under the
+standard Gaussian measure, so means, variances, 2-norms and level weights
 are read off the coefficients directly.
 
-Multi-indices are plain tuples; helpers for the few operations we need on
-them live at module level.  Batch kernels (the statistics grid's Monte Carlo
-rows) use dense coefficient rows over a cached graded basis instead: one row
-per polynomial, products through a cached linearization table.
+A :class:`HermitePoly` is its support, a read-only (T, n) int array of
+multi-indices in graded order (by total degree, then lexicographic), and
+the read-only (T,) vector of their coefficients, none exactly zero.  Input
+is validated where it enters (the ``{alpha: c}`` constructor,
+``from_monomial_basis``, ``from_json_dict``); operators, and the batch
+kernels of the statistics grid, work on coefficient rows over a graded
+support, summing over terms left to right in graded order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-MultiIndex = tuple  # exponent vector, one natural per coordinate
-
 __all__ = [
-    "MultiIndex",
     "HermitePoly",
     "total_degree",
-    "dominates",
     "hermite_values",
     "random_poly",
 ]
 
+# Elements per temporary: batch kernels take points or samples in blocks
+# (each one's arithmetic is the same whatever the block) so that points x
+# terms stays bounded.
+BLOCK_ELEMS = 1 << 18
+
 
 def total_degree(alpha) -> int:
     return sum(alpha)
-
-
-def dominates(gamma, beta) -> bool:
-    """Componentwise gamma >= beta."""
-    return all(g >= b for g, b in zip(gamma, beta))
 
 
 def hermite_values(t, kmax):
@@ -63,36 +60,44 @@ def hermite_values(t, kmax):
     return out
 
 
-@dataclass
 class HermitePoly:
-    """Polynomial in the orthonormal Hermite basis, canonical sparse form.
+    """Polynomial in the orthonormal Hermite basis, in canonical form.
 
-    Exactly-zero coefficients are dropped on construction; any other pruning
-    must go through :meth:`prune` explicitly so that Parseval-style identities
-    are never silently broken.
+    ``support[t]`` is a multi-index and ``vector[t]`` its coefficient; the
+    support is in graded order and no coefficient is exactly zero.  Any other
+    pruning must go through :meth:`prune` explicitly so that Parseval-style
+    identities are never silently broken.
     """
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("n", "support", "vector", "_view")
 
-    def __post_init__(self):
-        clean = {}
-        for alpha, c in self.coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n:
-                raise ValueError(f"multi-index {alpha} has length {len(alpha)}, expected {self.n}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
-            c = float(c)
-            if c != 0.0:
-                clean[alpha] = clean.get(alpha, 0.0) + c
-        self.coeffs = {a: c for a, c in clean.items() if c != 0.0}
+    def __init__(self, n, coeffs=None):
+        """From a map {alpha: c}: every alpha must be n naturals; the
+        coefficients are summed per alpha and exact zeros dropped."""
+        coeffs = coeffs or {}
+        rows = _checked_rows(int(n), coeffs, "multi-index")
+        self._set(*_canonical(rows, np.array([float(c) for c in coeffs.values()])))
+
+    def _set(self, support, vector):
+        keep = vector != 0.0
+        self.n = support.shape[1]
+        self.support = _frozen(support[keep].astype(np.intp, copy=False))
+        self.vector = _frozen(vector[keep])
+        self._view = None
+
+    @classmethod
+    def _of(cls, support, vector):
+        """sum_t vector[t] h_{support[t]} for distinct support rows in graded
+        order: exact zeros are dropped, nothing is checked."""
+        self = cls.__new__(cls)
+        self._set(support, vector)
+        return self
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, n):
-        return cls(n, {})
+        return cls(n)
 
     @classmethod
     def constant(cls, n, value):
@@ -110,68 +115,78 @@ class HermitePoly:
         x^k = sum_{j = k mod 2} k! / (sqrt(j!) 2^((k-j)/2) ((k-j)/2)!) h_j,
         applied per coordinate.
         """
-        out = {}
-        for expo, c in terms:
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != n:
-                raise ValueError(f"exponent vector {expo} has length {len(expo)}, expected {n}")
-            per_var = [_monomial_to_hermite_1d(e) for e in expo]
-            for combo in itertools.product(*per_var):
-                alpha = tuple(j for j, _ in combo)
-                w = float(c)
-                for _, cf in combo:
-                    w *= cf
-                out[alpha] = out.get(alpha, 0.0) + w
-        return cls(n, out)
+        terms = list(terms)
+        rows = _checked_rows(int(n), [e for e, _ in terms], "exponent vector")
+        values = np.array([float(c) for _, c in terms], dtype=float)
+        return cls._of(*_canonical(*_change_basis(rows, values, 0)))
 
     # -- structure ------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Read-only view {alpha: c} of the terms, in graded order."""
+        if self._view is None:
+            self._view = MappingProxyType(dict(zip(
+                map(tuple, self.support.tolist()), self.vector.tolist())))
+        return self._view
+
+    @property
+    def levels(self):
+        """Total degree of each support row."""
+        return self.support.sum(axis=1)
+
     def degree(self):
         """Max total degree of a stored term; 0 for the zero polynomial."""
-        return max((total_degree(a) for a in self.coeffs), default=0)
+        return int(self.support[-1].sum()) if len(self.vector) else 0
 
     def mean(self):
-        return self.coeffs.get((0,) * self.n, 0.0)
+        constant = len(self.vector) and not self.support[0].any()
+        return float(self.vector[0]) if constant else 0.0
 
     def sq2norm(self):
-        return sum(c * c for c in self.coeffs.values())
+        return sum((self.vector * self.vector).tolist())
 
     def var(self):
         return self.sq2norm() - self.mean() ** 2
 
     def weight_at_level(self, k):
-        return sum(c * c for a, c in self.coeffs.items() if total_degree(a) == k)
+        c = self.vector[self.levels == k]
+        return sum((c * c).tolist())
 
     def part(self, op, k):
         """Projection onto Hermite levels: op is one of '=k', '<k', '>=k'."""
-        if op == "=k":
-            keep = lambda m: m == k
-        elif op == "<k":
-            keep = lambda m: m < k
-        elif op == ">=k":
-            keep = lambda m: m >= k
-        else:
+        cmp = {"=k": np.equal, "<k": np.less, ">=k": np.greater_equal}.get(op)
+        if cmp is None:
             raise ValueError(f"unknown part selector {op!r}")
-        return HermitePoly(self.n, {a: c for a, c in self.coeffs.items() if keep(total_degree(a))})
+        keep = cmp(self.levels, k)
+        return HermitePoly._of(self.support[keep], self.vector[keep])
 
     def prune(self, tol):
         """Drop coefficients with |c| <= tol.  Never called implicitly."""
-        return HermitePoly(self.n, {a: c for a, c in self.coeffs.items() if abs(c) > tol})
+        keep = np.abs(self.vector) > tol
+        return HermitePoly._of(self.support[keep], self.vector[keep])
+
+    def __eq__(self, other):  # also makes instances unhashable
+        return (isinstance(other, HermitePoly) and self.n == other.n
+                and np.array_equal(self.support, other.support)
+                and np.array_equal(self.vector, other.vector))
+
+    def __repr__(self):
+        return f"HermitePoly(n={self.n}, coeffs={dict(self.coeffs)!r})"
 
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other):
         self._check_same_space(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0.0) + c
-        return HermitePoly(self.n, out)
+        return HermitePoly._of(*_canonical(
+            np.concatenate([self.support, other.support]),
+            np.concatenate([self.vector, other.vector])))
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, c):
-        return HermitePoly(self.n, {a: v * c for a, v in self.coeffs.items()})
+        return HermitePoly._of(self.support, self.vector * c)
 
     def __mul__(self, other):
         """Product, computed exactly via the Hermite linearization formula.
@@ -182,18 +197,11 @@ class HermitePoly:
         if isinstance(other, (int, float)):
             return self.scale(float(other))
         self._check_same_space(other)
-        out = {}
-        for alpha, ca in self.coeffs.items():
-            for beta, cb in other.coeffs.items():
-                per_var = [_uni_product(a, b) for a, b in zip(alpha, beta)]
-                base = ca * cb
-                for combo in itertools.product(*per_var):
-                    gamma = tuple(k for k, _ in combo)
-                    w = base
-                    for _, cf in combo:
-                        w *= cf
-                    out[gamma] = out.get(gamma, 0.0) + w
-        return HermitePoly(self.n, out)
+        ia = np.repeat(np.arange(len(self.vector)), len(other.vector))
+        ib = np.tile(np.arange(len(other.vector)), len(self.vector))
+        _, gamma, w = _linearize(self.support[ia], other.support[ib],
+                                 self.vector[ia] * other.vector[ib])
+        return HermitePoly._of(*_canonical(gamma, w))
 
     __rmul__ = __mul__
 
@@ -210,37 +218,24 @@ class HermitePoly:
         return float(self.eval_batch(x[None, :])[0])
 
     def eval_batch(self, X):
-        """Evaluate at a batch of points, shape (B, n) -> (B,)."""
+        """Evaluate at a batch of points, shape (B, n) -> (B,): the design
+        matrix of the support times the coefficient vector."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"batch has shape {X.shape}, expected (B, {self.n})")
-        if not self.coeffs:
-            return np.zeros(X.shape[0])
-        kmax = max(max(a) for a in self.coeffs)
-        tab = hermite_values(X, kmax)  # (B, n, kmax+1)
-        out = np.zeros(X.shape[0])
-        for alpha, c in self.coeffs.items():
-            term = np.full(X.shape[0], c)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * tab[:, i, a]
-            out += term
+        out = np.empty(X.shape[0])
+        step = max(1, BLOCK_ELEMS // max(len(self.vector), 1))
+        for b in range(0, X.shape[0], step):
+            out[b:b + step] = _design(X[b:b + step], self.support) @ self.vector
         return out
 
     # -- monomial basis / serialization ------------------------------------
 
     def to_monomial_terms(self):
         """Expand into monomial terms {exponent vector: coeff} (floats)."""
-        out = {}
-        for alpha, c in self.coeffs.items():
-            per_var = [_hermite_to_monomial_1d(a) for a in alpha]
-            for combo in itertools.product(*per_var):
-                expo = tuple(j for j, _ in combo)
-                w = c
-                for _, cf in combo:
-                    w *= cf
-                out[expo] = out.get(expo, 0.0) + w
-        return {e: c for e, c in out.items() if c != 0.0}
+        expos, w = _canonical(*_change_basis(self.support, self.vector, 1))
+        return {tuple(e): c for e, c in zip(expos.tolist(), w.tolist())
+                if c != 0.0}
 
     def to_json_dict(self):
         terms = [
@@ -273,135 +268,155 @@ class HermitePoly:
         return cls.from_json_dict(json.loads(s))
 
 
-def _uni_product(m, n, _cache={}):
-    """Linearization of h_m * h_n as [(degree, coefficient)]."""
-    key = (m, n) if m <= n else (n, m)
-    got = _cache.get(key)
-    if got is None:
-        m_, n_ = key
-        got = []
-        for k in range(m_ + 1):
-            d = m_ + n_ - 2 * k
-            c = (
-                math.factorial(k)
-                * math.comb(m_, k)
-                * math.comb(n_, k)
-                * math.sqrt(math.factorial(d) / (math.factorial(m_) * math.factorial(n_)))
-            )
-            got.append((d, c))
-        _cache[key] = got
-    return got
+@functools.lru_cache(maxsize=None)
+def _uni_table(m) -> np.ndarray:
+    """T[a, b, k] for a, b <= m and k <= min(a, b): the coefficient of
+    h_{a+b-2k} in the linearization of h_a h_b."""
+    T = np.zeros((m + 1,) * 3)
+    for a in range(m + 1):
+        for b in range(m + 1):
+            x, y = min(a, b), max(a, b)
+            for k in range(x + 1):
+                T[a, b, k] = (math.factorial(k) * math.comb(x, k) * math.comb(y, k)
+                              * math.sqrt(math.factorial(x + y - 2 * k)
+                                          / (math.factorial(x) * math.factorial(y))))
+    return _frozen(T)
 
 
-def _monomial_to_hermite_1d(k, _cache={}):
-    """x^k as [(hermite degree j, coefficient)] with normalized h_j."""
-    got = _cache.get(k)
-    if got is None:
-        got = []
+@functools.lru_cache(maxsize=None)
+def _monomial_tables(m) -> tuple:
+    """(P, Q) for degrees k <= m: x^k = sum_j P[k, j] h_j and
+    h_k = sum_j Q[k, j] x^j, both over j = k mod 2, k mod 2 + 2, ..., k."""
+    P, Q = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
+    H = [[1.0], [0.0, 1.0]]  # H_k's monomial coefficients, H_{k+1} = x H_k - k H_{k-1}
+    while len(H) <= m:
+        k = len(H) - 1
+        H.append([(H[k][i - 1] if i else 0.0) - (k * H[k - 1][i] if i < k else 0.0)
+                  for i in range(k + 2)])
+    for k in range(m + 1):
         for j in range(k % 2, k + 1, 2):
             half = (k - j) // 2
-            c = math.factorial(k) / (
-                math.sqrt(math.factorial(j)) * 2.0**half * math.factorial(half)
-            )
-            got.append((j, c))
-        _cache[k] = got
-    return got
+            P[k, j] = math.factorial(k) / (
+                math.sqrt(math.factorial(j)) * 2.0**half * math.factorial(half))
+        Q[k, :k + 1] = np.array(H[k]) / math.sqrt(math.factorial(k))
+    return _frozen(P), _frozen(Q)
 
 
-def _hermite_to_monomial_1d(k, _cache={}):
-    """h_k as [(monomial degree j, coefficient)]."""
-    got = _cache.get(k)
-    if got is None:
-        # H_{k} coefficients by the recurrence H_{k+1} = x H_k - k H_{k-1}
-        rows = [[1.0], [0.0, 1.0]]
-        while len(rows) <= k:
-            j = len(rows) - 1
-            prev, prev2 = rows[-1], rows[-2]
-            nxt = [0.0] * (j + 2)
-            for i, c in enumerate(prev):
-                nxt[i + 1] += c
-            for i, c in enumerate(prev2):
-                nxt[i] -= j * c
-            rows.append(nxt)
-        norm = math.sqrt(math.factorial(k))
-        got = [(j, c / norm) for j, c in enumerate(rows[k]) if c != 0.0]
-        _cache[k] = got
-    return got
+def _change_basis(rows, w, which):
+    """sum_e w[e] b_{rows[e]} rewritten coordinate by coordinate through
+    table `which` of :func:`_monomial_tables` (0: monomials to Hermite, 1:
+    Hermite to monomials): (rows, weights) entries in itertools.product
+    order, each weight w[e] times one table entry per coordinate."""
+    p, K = _tensor_expand(rows // 2 + 1)
+    rows, w = rows[p], w[p]
+    J = rows % 2 + 2 * K
+    table = _monomial_tables(int(rows.max()) if rows.size else 0)[which]
+    for i in range(rows.shape[1]):
+        w *= table[rows[:, i], J[:, i]]
+    return J, w
 
 
 def random_poly(n, d, rng, sparsity=None, scale=1.0):
     """Random dense polynomial of degree <= d with N(0, scale^2) coefficients.
 
     If `sparsity` is given, only that many uniformly chosen multi-indices get
-    nonzero coefficients.
+    nonzero coefficients.  The multi-indices are drawn from, and the
+    coefficients drawn in, the lexicographic order of the degree <= d indices.
     """
-    alphas = [
-        a
-        for a in itertools.product(range(d + 1), repeat=n)
-        if total_degree(a) <= d
-    ]
+    alphas = _basis(n, d)
+    alphas = alphas[np.lexsort(alphas.T[::-1])]  # lexicographic order
     if sparsity is not None and sparsity < len(alphas):
-        idx = rng.choice(len(alphas), size=sparsity, replace=False)
-        alphas = [alphas[i] for i in idx]
-    return HermitePoly(n, {a: scale * rng.standard_normal() for a in alphas})
+        alphas = alphas[rng.choice(len(alphas), size=sparsity, replace=False)]
+    values = scale * rng.standard_normal(len(alphas))
+    return HermitePoly._of(*_canonical(alphas, values))
 
 
-# -- dense coefficient rows ---------------------------------------------------
+# -- graded supports ------------------------------------------------------------
 
-class _Basis(NamedTuple):
-    alphas: tuple        # multi-indices of total degree <= d, graded order
-    exps: np.ndarray     # the same, as a read-only (N, n) int array
-    levels: np.ndarray   # total degree of each multi-index
-    pos: dict            # multi-index -> position
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _compositions(n, k):
-    """All n-tuples of naturals summing to k, in lexicographic order."""
-    if n == 1:
-        yield (k,)
-        return
-    for a in range(k + 1):
-        for rest in _compositions(n - 1, k - a):
-            yield (a,) + rest
+def _checked_rows(n, keys, what) -> np.ndarray:
+    """The keys as an (E, n) int array, or ValueError unless each key is n
+    naturals."""
+    rows = [tuple(int(a) for a in key) for key in keys]
+    for key in rows:
+        if len(key) != n:
+            raise ValueError(f"{what} {key} has length {len(key)}, expected {n}")
+        if any(a < 0 for a in key):
+            raise ValueError(f"negative exponent in {key}")
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
+def _tensor_expand(C):
+    """Every (p, k) with 0 <= k < C[p] componentwise for an (P, n) int array
+    C, ordered by p and then lexicographically in k (the order of
+    itertools.product): the (E,) parents p and the (E, n) offsets k."""
+    total = C.prod(axis=1)
+    p = np.repeat(np.arange(len(C)), total)
+    r = np.arange(len(p)) - np.repeat(np.cumsum(total) - total, total)
+    inner = total[:, None] // np.cumprod(C, axis=1)  # prod_{j > i} C[p, j]
+    return p, r[:, None] // inner[p] % C[p]
+
+
+def _graded_unique(rows):
+    """The distinct rows of an (E, n) int array in graded order, and the
+    position of each input row among them."""
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    s = rows[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    inv = np.empty(len(s), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return s[new], inv
+
+
+def _canonical(rows, values):
+    """(support, vector) of sum_e values[e] h_{rows[e]}: the distinct rows in
+    graded order, each one's values summed left to right in input order."""
+    support, inv = _graded_unique(rows)
+    return support, np.bincount(inv, weights=values, minlength=len(support))
 
 
 @functools.lru_cache(maxsize=64)
-def _basis(n, d) -> _Basis:
+def _basis(n, d) -> np.ndarray:
     """The multi-indices of degree <= d in graded order (by total degree,
-    then lexicographic).  The indices of degree <= k are the first entries,
-    so a lower-degree coefficient row is a prefix of a higher-degree one."""
-    alphas = tuple(a for k in range(d + 1) for a in _compositions(n, k))
-    exps = np.array(alphas, dtype=np.intp).reshape(len(alphas), n)
-    levels = exps.sum(axis=1)
-    exps.flags.writeable = levels.flags.writeable = False
-    return _Basis(alphas, exps, levels, {a: i for i, a in enumerate(alphas)})
+    then lexicographic), read-only.  The indices of degree <= k are the
+    first entries, so a lower-degree coefficient row is a prefix of a
+    higher-degree one."""
+    level = np.zeros((1, n), dtype=np.intp)
+    rows = [level]
+    for _ in range(d):  # level k + 1: level k plus each unit vector
+        level = _graded_unique((level[:, None] + np.eye(n, dtype=np.intp))
+                               .reshape(-1, n))[0]
+        rows.append(level)
+    return _frozen(np.concatenate(rows))
 
 
-def _to_dense(poly: HermitePoly, d) -> np.ndarray:
-    """Coefficient row of poly over the graded basis of degree <= d."""
-    pos = _basis(poly.n, d).pos
-    out = np.zeros(len(pos))
-    for alpha, c in poly.coeffs.items():
-        out[pos[alpha]] = c
-    return out
-
-
-def _from_dense(n, d, row) -> HermitePoly:
-    """The polynomial with coefficient row `row` over the graded basis of
-    degree <= d."""
-    alphas = _basis(n, d).alphas
-    return HermitePoly(n, {a: c for a, c in zip(alphas, row.tolist())
-                           if c != 0.0})
-
-
-def _design(X, d) -> np.ndarray:
-    """(B, N) values h_alpha(x) of the graded basis of degree <= d."""
-    exps = _basis(X.shape[1], d).exps
-    tab = hermite_values(X, d)
+def _design(X, exps) -> np.ndarray:
+    """(B, T) values h_alpha(x) of the rows alpha of a support at the points
+    x of X."""
+    tab = hermite_values(X, int(exps.max()) if exps.size else 0)
     H = tab[:, 0, exps[:, 0]]
     for i in range(1, X.shape[1]):
-        H = H * tab[:, i, exps[:, i]]
+        H *= tab[:, i, exps[:, i]]
     return H
+
+
+def _linearize(A, B, w):
+    """h_{A[p]} h_{B[p]} times w[p] for row pairs p, as entries: the parent
+    p of each entry, its multi-index and its weight, w[p] times one
+    linearization coefficient per coordinate, multiplied in coordinate
+    order.  Entries are ordered by p, then by the per-coordinate k
+    lexicographically."""
+    p, K = _tensor_expand(np.minimum(A, B) + 1)
+    A, B, w = A[p], B[p], w[p]
+    table = _uni_table(int(max(A.max(), B.max())) if A.size else 0)
+    for i in range(A.shape[1]):
+        w *= table[A[:, i], B[:, i], K[:, i]]
+    return p, A + B - 2 * K, w
 
 
 class _Contraction(NamedTuple):
@@ -416,16 +431,13 @@ class _Contraction(NamedTuple):
 
 
 def _contraction(left, right, weight, target, size) -> _Contraction:
-    order = np.argsort(np.asarray(target, dtype=np.intp), kind="stable")
+    order = np.argsort(target, kind="stable")
     target = np.asarray(target, dtype=np.intp)[order]
-    starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]]) \
-        if len(target) else np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(target, prepend=-1))
     arrays = [np.asarray(left, dtype=np.intp)[order],
               np.asarray(right, dtype=np.intp)[order],
               np.asarray(weight, dtype=float)[order], starts, target[starts]]
-    for a in arrays:
-        a.flags.writeable = False
-    return _Contraction(*arrays, size)
+    return _Contraction(*map(_frozen, arrays), size)
 
 
 def _segment_sum(terms, table: _Contraction) -> np.ndarray:
@@ -441,22 +453,13 @@ def _segment_sum(terms, table: _Contraction) -> np.ndarray:
 def _square_table(n, e) -> _Contraction:
     """Linearization h_a h_b = sum_c w h_c for a <= b of degree <= e (the
     pair a < b counted twice), targets in the basis of degree <= 2e."""
-    alphas = _basis(n, e).alphas
-    pos = _basis(n, 2 * e).pos
-    left, right, weight, target = [], [], [], []
-    for ia, a in enumerate(alphas):
-        for ib in range(ia, len(alphas)):
-            twice = 2.0 if ib != ia else 1.0
-            per_var = [_uni_product(x, y) for x, y in zip(a, alphas[ib])]
-            for combo in itertools.product(*per_var):
-                w = twice
-                for _, cf in combo:
-                    w *= cf
-                left.append(ia)
-                right.append(ib)
-                weight.append(w)
-                target.append(pos[tuple(k for k, _ in combo)])
-    return _contraction(left, right, weight, target, len(pos))
+    A = _basis(n, e)
+    ia, ib = np.triu_indices(len(A))
+    p, gamma, w = _linearize(A[ia], A[ib], np.where(ia == ib, 1.0, 2.0))
+    # every index of degree <= 2e is a product's top term: the distinct
+    # gammas are the basis of degree <= 2e
+    out, target = _graded_unique(gamma)
+    return _contraction(ia[p], ib[p], w, target, len(out))
 
 
 def _square_rows(F, n, e) -> np.ndarray:

@@ -53,7 +53,6 @@ class PrgParams:
     k_mult: int
     coupling: str
     M_formula: int
-    theoretical_seed_length: int
 
     def block_spec(self) -> kwise.KWiseSpec:
         return kwise.KWiseSpec(k=self.k_indep, n=self.n, M=self.M)
@@ -65,8 +64,7 @@ class PrgParams:
         d = {k: getattr(self, k) for k in (
             "n", "d", "eps", "lambda_bar", "L", "k_indep", "M", "R_bar", "T",
             "D", "lambda_hat", "delta_horz", "delta_anal", "K", "lambda_exp",
-            "c_lambda", "k_mult", "coupling", "M_formula",
-            "theoretical_seed_length")}
+            "c_lambda", "k_mult", "coupling", "M_formula")}
         d["seed_bits_per_sample"] = self.seed_bits_per_sample()
         return d
 
@@ -104,10 +102,12 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
     lam = 1.0 / L  # renormalize so the block sum has unit variance exactly
 
     try:
-        log_ratio = math.log2(d * L * n / eps)
-        M_formula = 2 * math.ceil(3 * d * log_ratio)
+        M_formula = 2 * math.ceil(3 * d * math.log2(d * L * n / eps))
     except OverflowError:  # analysis-scale L with a tiny eps
         raise ValueError("d L n / eps overflows; parameters too extreme") from None
+    # The default M is M_formula capped at M_CAP = 32.  Words are m = max(M,
+    # ceil(log2 2n)) bits, so the seed bits per sample, L * 2 k_indep * m,
+    # are flat in n until 2n > 2^M and affine in ceil(log2 2n) after.
     if M is None:
         M = min(max(M_formula, 2), M_CAP)
     if M < 2 or M % 2:
@@ -119,14 +119,12 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
 
     D = (2 * d + 1) ** 2
     lh = lambda_hat_from(lam, eps, d, T)
-    seedlen = k_indep * L * d * math.ceil(log_ratio)
     return PrgParams(
         n=n, d=d, eps=eps, lambda_bar=lam, L=L, k_indep=k_indep, M=M,
         R_bar=R_bar, T=T, D=D, lambda_hat=lh,
         delta_horz=1.0 / (K * d * D), delta_anal=1.0 / (100.0 * d * D),
         K=K, lambda_exp=lambda_exp, c_lambda=c_lambda, k_mult=k_mult,
         coupling=coupling, M_formula=M_formula,
-        theoretical_seed_length=seedlen,
     )
 
 

@@ -29,20 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussops import (_amplified_derivative_rows, _zoom_matrix, _zoom_pairs,
+from .gaussops import (_amplified_derivative_rows, _pairs, _zoom_matrix,
                        amplified_derivative, hypervar, zoom, ZoomSpec)
-from .hermite import (HermitePoly, _basis, _design, _from_dense,
-                      _square_rows, _square_table, _to_dense)
+from .hermite import (BLOCK_ELEMS, HermitePoly, _basis, _canonical, _design,
+                      _square_rows, _square_table)
 from .seeding import substream
 
 __all__ = ["PolySampler", "StatGrid", "mc_average", "stat_identities_check",
            "grid_csv"]
 
 DEFAULT_TRIALS = 10_000
-# Elements per temporary: a Monte Carlo row is built in blocks of samples
-# (each sample's arithmetic is the same whatever the block), and a read
-# evaluates blocks of centers, so that centers x samples stays bounded.
-BLOCK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -114,6 +110,9 @@ class StatGrid:
             raise ValueError(f"mc_trials = {mc_trials}: a Monte Carlo row "
                              "needs at least 2 samples for an error bar")
         self.mc_trials = mc_trials
+        basis = _basis(p.n, p.degree())  # p's coefficient row over it:
+        self._base = _canonical(np.concatenate([basis, p.support]),
+                                np.r_[np.zeros(len(basis)), p.vector])[1]
         self._rows = {0: self._exact_row(0), 1: self._exact_row(1)}
 
     def _exact_row(self, i):
@@ -121,19 +120,20 @@ class StatGrid:
         sum_{beta != 0} R^{2|beta|} c_beta^2 (i = 1)."""
         n, deg = self.p.n, self.p.degree()
         if i == 0:
-            return 2 * deg, _square_rows(_to_dense(self.p, deg)[None, :],
-                                         n, deg)
+            return 2 * deg, _square_rows(self._base[None, :], n, deg)
         # rows beta != 0 of the zoom matrix; c_beta has degree <= deg - 1
         e = max(deg - 1, 0)
-        C = _zoom_matrix(self.p, self.lam)[1:, :len(_basis(n, e).alphas)]
-        weights = self.R ** (2 * _basis(n, deg).levels[1:])
+        # the basis is its own down-set
+        t = _pairs(_basis(n, deg), self.lam)
+        C = _zoom_matrix(t, self._base)[1:, :len(_basis(n, e))]
+        weights = self.R ** (2 * t.levels[1:])
         return 2 * e, (weights @ _square_rows(C, n, e))[None, :]
 
     def exact_row_poly(self, i) -> HermitePoly:
         if i not in (0, 1):
             raise ValueError(f"exact statistics unavailable for row {i}")
         deg, row = self._rows[i]
-        return _from_dense(self.p.n, deg, row[0])
+        return HermitePoly._of(_basis(self.p.n, deg), row[0])
 
     def column_rho(self, j) -> float:
         return (1.0 - self.lam) ** (j / 2.0)
@@ -155,19 +155,17 @@ class StatGrid:
         draws = rng.standard_normal((T, i, 2, n))
         deg = self.p.degree()
         degs = [max(deg - k, 0) for k in range(i + 1)]
-        width = max([len(_zoom_pairs(n, e, self.lam).derivative.left)
-                     for e in degs[:-1]]
+        tables = [_pairs(_basis(n, e), self.lam) for e in degs[:-1]]
+        width = max([len(t.derivative.left) for t in tables]
                     + [len(_square_table(n, degs[-1]).left)])
         step = max(1, BLOCK_ELEMS // width)
-        base = _to_dense(self.p, deg)[None, :]
-        Q = np.empty((T, len(_basis(n, 2 * degs[-1]).alphas)))
+        Q = np.empty((T, len(_basis(n, 2 * degs[-1]))))
         for t0 in range(0, T, step):
             block = draws[t0:t0 + step]
-            F = np.broadcast_to(base, (len(block), base.shape[1]))
-            for k in range(i):
-                F = _amplified_derivative_rows(F, n, degs[k], block[:, k, 0],
-                                               block[:, k, 1], self.R,
-                                               self.lam)
+            F = np.broadcast_to(self._base, (len(block), len(self._base)))
+            for k, t in enumerate(tables):
+                F = _amplified_derivative_rows(F, t, block[:, k, 0],
+                                               block[:, k, 1], self.R)
             Q[t0:t0 + step] = _square_rows(F, n, degs[-1])
         return 2 * degs[-1], Q
 
@@ -190,15 +188,15 @@ class StatGrid:
             self._check_indices(i, j)
         X = _check_centers(X, self.p.n)
         deg, Q = self._row_coeffs(i)
-        bounds = np.searchsorted(_basis(self.p.n, deg).levels,
-                                 np.arange(deg + 2))
+        basis = _basis(self.p.n, deg)
+        bounds = np.searchsorted(basis.sum(axis=1), np.arange(deg + 2))
         powers = [self.column_rho(j) ** np.arange(deg + 1) for j in cols]
         K = Q.shape[0]
         mean = np.zeros((X.shape[0], len(cols)))
         err = np.zeros_like(mean)
         step = max(1, BLOCK_ELEMS // ((deg + 1) * K))
         for b0 in range(0, X.shape[0], step):
-            H = _design(X[b0:b0 + step], deg)
+            H = _design(X[b0:b0 + step], basis)
             # M[l, b, t]: level-l value of sample t's square at center b
             M = np.stack([H[:, lo:hi] @ Q[:, lo:hi].T
                           for lo, hi in zip(bounds[:-1], bounds[1:])])

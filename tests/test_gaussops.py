@@ -1,9 +1,12 @@
 import hashlib
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ptfprg import gaussops
 from ptfprg.gaussops import (AttenuationReport, ZoomSpec, amplified_derivative,
                              binom_pmf_row, directional_derivative, hypervar,
                              is_attenuated, noise_op, stability, zoom,
@@ -95,6 +98,60 @@ class TestZoom:
     def test_center_dimension(self):
         with pytest.raises(ValueError):
             zoom(HermitePoly(2, {(1, 0): 1.0}), ZoomSpec(0.5, np.zeros(3)))
+
+
+def sparse_poly(n, terms, d, rng):
+    """`terms` distinct multi-indices of degree d at random, N(0, 1) coeffs."""
+    coeffs = {}
+    while len(coeffs) < terms:
+        alpha = tuple(int(a) for a in rng.multinomial(d, [1.0 / n] * n))
+        coeffs[alpha] = float(rng.standard_normal())
+    return HermitePoly(n, coeffs)
+
+
+class TestZoomHighDimension:
+    # the zoom table is built over the down-set of the support, so a sparse
+    # polynomial at large n costs time and memory in its terms, not in the
+    # C(n + d, d) multi-indices of its degree (2.1 s and 79 MB at n = 14
+    # when the table covered the full basis)
+    OPS = {
+        "zoom": lambda g, x: zoom(g, ZoomSpec(0.3, x)),
+        "coefficient_polys": lambda g, x: zoom_coefficient_polys(g, 0.3),
+        "hypervar_and_norm": lambda g, x: zoom_hypervar_and_norm_batch(
+            g, 0.3, x[None, :], 2.0),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_sparse_degree4_cost(self, op):
+        rng = np.random.default_rng(30)
+        for n in (14, 20):
+            g = sparse_poly(n, 10, 4, rng)
+            x = rng.standard_normal(n)
+            gaussops._zoom_pairs.cache_clear()
+            tracemalloc.start()
+            try:
+                t0 = time.perf_counter()
+                self.OPS[op](g, x)
+                elapsed = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if n == 14:
+                assert peak < 5 * 2**20 and elapsed < 0.2, (peak, elapsed)
+
+    def test_sparse_against_substitution_oracle(self):
+        rng = np.random.default_rng(31)
+        for lam in (0.0, 0.35, 1.0):
+            g = sparse_poly(12, 6, 3, rng) + HermitePoly.constant(12, 0.5)
+            x = rng.standard_normal(12)
+            z = zoom(g, ZoomSpec(lam, x))
+            hv, n2 = zoom_hypervar_and_norm_batch(g, lam, x[None, :], 1.5)
+            assert hv[0] == pytest.approx(hypervar(z, 1.5), rel=1e-10)
+            assert n2[0] == pytest.approx(z.sq2norm(), rel=1e-10)
+            for _ in range(5):
+                y = rng.standard_normal(12)
+                want = g.eval(np.sqrt(1 - lam) * x + np.sqrt(lam) * y)
+                assert z.eval(y) == pytest.approx(want, rel=1e-9, abs=1e-10)
 
 
 # sha256 of every zoom coefficient of the polynomials below, recorded with

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -162,6 +163,69 @@ class TestCanonicalForm:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             HermitePoly(1, {(-1,): 1.0})
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            HermitePoly(2, {(1,): 1.0})
+
+    def test_support_graded_and_read_only(self):
+        g = HermitePoly(2, {(0, 2): 1.0, (1, 0): 2.0, (0, 0): 3.0, (1, 1): 4.0,
+                            (2, 0): 5.0, (0, 1): 0.0})
+        assert g.support.tolist() == [[0, 0], [1, 0], [0, 2], [1, 1], [2, 0]]
+        assert g.vector.tolist() == [3.0, 2.0, 1.0, 4.0, 5.0]
+        assert list(g.coeffs) == [tuple(a) for a in g.support.tolist()]
+        for a in (g.support, g.vector):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(TypeError):
+            g.coeffs[(0, 0)] = 1.0
+
+    def test_add_merges_supports_and_drops_cancelled_terms(self):
+        s = (HermitePoly(1, {(1,): 0.1, (0,): 1.0})
+             + HermitePoly(1, {(1,): 0.2}) + HermitePoly(1, {(0,): -1.0}))
+        assert s.coeffs == {(1,): 0.1 + 0.2}
+
+    def test_equality(self):
+        rng = np.random.default_rng(11)
+        g = random_poly(3, 2, rng)
+        assert g == HermitePoly(3, dict(g.coeffs))
+        assert g != g.scale(2.0)
+        assert g != HermitePoly(4, {})
+
+
+def product_random_poly(n, d, rng):
+    """random_poly's draws with the (d + 1)^n product of indices spelled out:
+    the reference for the lexicographic enumeration."""
+    alphas = [a for a in itertools.product(range(d + 1), repeat=n)
+              if total_degree(a) <= d]
+    return {a: rng.standard_normal() for a in alphas}
+
+
+class TestRandomPoly:
+    def test_same_draws_as_product_enumeration(self):
+        for n in range(1, 7):
+            for d in range(5):
+                got = random_poly(n, d, np.random.default_rng(n * 7 + d))
+                want = product_random_poly(n, d,
+                                           np.random.default_rng(n * 7 + d))
+                assert dict(got.coeffs) == want, (n, d)
+                assert list(got.coeffs) == sorted(
+                    want, key=lambda a: (total_degree(a), a))
+
+    def test_sparse_draws_follow_lexicographic_order(self):
+        rng = np.random.default_rng(12)
+        alphas = [a for a in itertools.product(range(4), repeat=3)
+                  if total_degree(a) <= 3]
+        idx = rng.choice(len(alphas), size=5, replace=False)
+        want = {alphas[i]: 2.0 * rng.standard_normal() for i in idx}
+        got = random_poly(3, 3, np.random.default_rng(12), sparsity=5,
+                          scale=2.0)
+        assert dict(got.coeffs) == want
+
+    def test_large_dimension_builds(self):
+        g = random_poly(48, 2, np.random.default_rng(13))
+        assert len(g.coeffs) == math.comb(50, 2) == 1225
+        assert g.degree() == 2
 
 
 class TestJson:

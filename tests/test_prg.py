@@ -39,10 +39,30 @@ class TestChooseParams:
         assert p.L == math.ceil(1.0 / (0.3 / 2) ** 4)
         assert p.lambda_bar == 1.0 / p.L
 
-    def test_seed_length_report_monotone_in_d(self):
-        vals = [choose_params(4, d, 0.2, M=16).theoretical_seed_length
-                for d in (1, 2, 3)]
-        assert vals[0] < vals[1] < vals[2]
+    def test_seed_bits_table(self):
+        # seed bits per sample at the default M, over d in 1..8, n in
+        # 2^3..2^40 and two eps: flat in n while 2n <= 2^M, then affine in
+        # ceil(log2 2n), and polynomial in d (log-log slope at most 5)
+        for eps in (0.2, 0.05):
+            table = {}
+            for d in range(1, 9):
+                for e in range(3, 41):
+                    p = choose_params(2**e, d, eps)
+                    assert p.M == min(max(p.M_formula, 2), M_CAP) == M_CAP
+                    table[d, e] = p.seed_bits_per_sample()
+                    width = math.ceil(math.log2(2 * 2**e))  # e + 1
+                    assert table[d, e] == p.L * 2 * p.k_indep * max(p.M, width)
+            for d in range(1, 9):
+                flat = [table[d, e] for e in range(3, 41) if e + 1 <= M_CAP]
+                assert len(set(flat)) == 1
+                steps = {table[d, e + 1] - table[d, e]
+                         for e in range(3, 40) if e + 1 >= M_CAP}
+                assert len(steps) == 1 and steps.pop() > 0
+            for e in range(3, 41):
+                for d in range(1, 8):
+                    slope = (math.log(table[d + 1, e] / table[d, e])
+                             / math.log((d + 1) / d))
+                    assert 0.0 < slope <= 5.0 + 1e-9, (eps, d, e, slope)
 
     def test_k_indep_covers_moment_requirement(self):
         p = choose_params(4, 3, 0.2)
