@@ -115,6 +115,15 @@ def builtin_suite(seed=0):
     return entries
 
 
+def _fooling_groups(suite, eps, **overrides):
+    """(generator parameters, entries) per (n, d) group, sorted by (n, d)."""
+    groups = {}
+    for e in suite:
+        groups.setdefault((e["n"], e["d"]), []).append(e)
+    return [(choose_params(n, d, eps, **overrides), entries)
+            for (n, d), entries in sorted(groups.items())]
+
+
 def fooling_report(suite, eps, samples, master_seed, *, lambda_exp=2.0,
                    M=16, k_mult=16):
     """Sign-expectation gap of the generator vs. true Gaussians, per polynomial.
@@ -126,13 +135,10 @@ def fooling_report(suite, eps, samples, master_seed, *, lambda_exp=2.0,
     if samples < 2:
         raise ValueError(f"samples = {samples}: a sign expectation needs at "
                          "least 2 samples for an error bar")
-    groups = {}
-    for e in suite:
-        groups.setdefault((e["n"], e["d"]), []).append(e)
     rows = []
-    for (n, d), entries in sorted(groups.items()):
-        params = choose_params(n, d, eps, lambda_exp=lambda_exp, M=M,
-                               k_mult=k_mult)
+    for params, entries in _fooling_groups(suite, eps, lambda_exp=lambda_exp,
+                                           M=M, k_mult=k_mult):
+        n, d = params.n, params.d
         gseed = int(substream(master_seed, "fool-seed", n, d).integers(2**63))
         Z = generate_batch(params, gseed, samples)
         Xref = substream(master_seed, "fool-ref", n, d).standard_normal(

@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .battery import BatteryConfig, builtin_suite, fooling_report, run_battery
+from .battery import (BatteryConfig, _fooling_groups, builtin_suite,
+                      fooling_report, run_battery)
 from .hermite import HermitePoly, random_poly
 from .hyperlab import (carbery_wright_check, zoom_ratio_check,
                        local_hyperconc_experiment)
@@ -112,6 +113,11 @@ def _json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _print_params(args, doc):
+    if args.print_params:  # the parameters the command runs, to stderr
+        sys.stderr.write(_json(doc))
+
+
 def _load_polys(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -130,6 +136,7 @@ def _load_polys(path):
 
 def cmd_gen(args):
     params = resolve_params(args)
+    _print_params(args, params.describe())
     Z = generate_batch(params, args.seed, args.trials)
     header = params.describe()
     if args.format == "json":
@@ -156,10 +163,12 @@ def cmd_fool(args):
         suite = builtin_suite(args.seed)
     # full theoretical lambda_bar makes L astronomically large; the fooling
     # experiment defaults to the lambda_exp = 2 sweep point
-    rep = fooling_report(
-        suite, args.eps, samples=args.samples, master_seed=args.seed,
-        lambda_exp=args.lambda_exp if args.lambda_exp is not None else 2.0,
-        M=args.M if args.M is not None else 16, k_mult=args.k_mult)
+    knobs = {"lambda_exp": 2.0 if args.lambda_exp is None else args.lambda_exp,
+             "M": 16 if args.M is None else args.M, "k_mult": args.k_mult}
+    _print_params(args, [params.describe() for params, _ in
+                         _fooling_groups(suite, args.eps, **knobs)])
+    rep = fooling_report(suite, args.eps, samples=args.samples,
+                         master_seed=args.seed, **knobs)
     if args.format == "json":
         _emit(args, _json(rep))
     else:
@@ -201,6 +210,7 @@ def cmd_hyperconc(args):
 
 def cmd_mollifier(args):
     params = resolve_params(args, default_coupling="analysis")
+    _print_params(args, params.describe())
     if args.polys:
         entries = _load_polys(args.polys)
     else:
@@ -226,6 +236,7 @@ def cmd_mollifier(args):
 
 def cmd_stats(args):
     params = resolve_params(args, default_coupling="analysis")
+    _print_params(args, params.describe())
     if args.polys:
         p = _load_polys(args.polys)[0]["poly"]
     else:
@@ -270,12 +281,6 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "print_params", False) and args.cmd in (
-                "gen", "fool", "mollifier", "stats"):
-            coupling = "analysis" if args.cmd in ("mollifier", "stats") \
-                else "prg"
-            params = resolve_params(args, default_coupling=coupling)
-            sys.stderr.write(_json(params.describe()))
         return COMMANDS[args.cmd](args)
     except ValueError as exc:
         raise SystemExit(f"ptfprg {args.cmd}: {exc}")

@@ -23,12 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermite import (HermitePoly, _canonical, _contraction, _Contraction,
+from .hermite import (BLOCK_ELEMS, HermitePoly, _contraction, _Contraction,
                       _design, _frozen, _graded_unique, _segment_sum,
                       _tensor_expand)
 
 __all__ = [
-    "ZoomSpec",
     "AttenuationReport",
     "binom_pmf_row",
     "zoom_coefficient_polys",
@@ -42,17 +41,6 @@ __all__ = [
     "directional_derivative",
     "mult_close",
 ]
-
-
-@dataclass
-class ZoomSpec:
-    lam: float
-    center: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"zoom scale {self.lam} outside [0, 1]")
-        self.center = np.asarray(self.center, dtype=float)
 
 
 @dataclass
@@ -126,13 +114,13 @@ def _pairs(support, lam) -> _ZoomPairs:
     return _zoom_pairs(support.shape[1], support.tobytes(), lam)
 
 
-def _zoom_matrix(t: _ZoomPairs, vector) -> np.ndarray:
-    """C[beta, gamma - beta] = ghat(gamma) sqrt(Pr[Bin(gamma, lam) = beta])
-    over t's down-set, for the coefficients `vector` over t's support: row
-    beta is the coefficient row of c_beta, so the zoom at x has coefficients
-    C @ h(x)."""
-    C = np.zeros((len(t.down),) * 2)
-    C[t.beta, t.delta] = vector[t.gamma] * t.sqrt_pmf
+def _zoom_matrix(t: _ZoomPairs, G) -> np.ndarray:
+    """C[..., beta, gamma - beta] = ghat(gamma) sqrt(Pr[Bin(gamma, lam) =
+    beta]) over t's down-set, for each coefficient row ghat of G (..., T)
+    over t's support: row beta is the coefficient row of c_beta, so the zoom
+    at x has coefficients C @ h(x)."""
+    C = np.zeros(G.shape[:-1] + (len(t.down),) * 2)
+    C[..., t.beta, t.delta] = G[..., t.gamma] * t.sqrt_pmf
     return C
 
 
@@ -150,31 +138,37 @@ def zoom_coefficient_polys(g: HermitePoly, lam: float):
             for b in np.flatnonzero(C.any(axis=1))}
 
 
-def zoom(g: HermitePoly, spec: ZoomSpec) -> HermitePoly:
-    """The polynomial y -> g(sqrt(1-lam) x + sqrt(lam) y), exactly."""
-    if spec.center.shape != (g.n,):
-        raise ValueError(f"center has shape {spec.center.shape}, expected ({g.n},)")
-    t = _pairs(g.support, spec.lam)
-    h = _design(spec.center[None, :], t.down)[0]
+def zoom(g: HermitePoly, lam, center) -> HermitePoly:
+    """The polynomial y -> g(sqrt(1-lam) x + sqrt(lam) y), x the center."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (g.n,):
+        raise ValueError(f"center has shape {center.shape}, expected ({g.n},)")
+    t = _pairs(g.support, lam)
+    h = _design(center[None, :], t.down)[0]
     return HermitePoly._of(t.down, _zoom_matrix(t, g.vector) @ h)
 
 
-def _zoom_level_weights(g: HermitePoly, lam, X) -> np.ndarray:
-    """(B, deg g + 1): the squared zoom coefficients c_beta(x)^2 at each
-    center x of X, summed per Hermite level |beta|."""
+def _zoom_level_weights(support, G, lam, X) -> np.ndarray:
+    """(K, B, deg + 1): for each coefficient row of G (K, T) over a graded
+    support and each center x of X, the squared zoom coefficients
+    c_beta(x)^2, summed per Hermite level |beta|, in blocks of rows."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != g.n:
-        raise ValueError(f"batch has shape {X.shape}, expected (B, {g.n})")
-    t = _pairs(g.support, lam)
-    V = _design(X, t.down) @ _zoom_matrix(t, g.vector).T  # V[b, beta] = c_beta(x_b)
+    if X.ndim != 2 or X.shape[1] != support.shape[1]:
+        raise ValueError(f"batch has shape {X.shape}, expected (B, {support.shape[1]})")
+    t = _pairs(support, lam)
+    H = _design(X, t.down)
     starts = np.searchsorted(t.levels, np.arange(t.levels[-1] + 1))
-    return np.add.reduceat(V * V, starts, axis=1)
+    step = max(1, BLOCK_ELEMS // (len(t.down) * max(len(X), len(t.down))))
+    # V[r, b, beta] = c_beta(x_b) of row r
+    return np.concatenate([np.add.reduceat(np.square(H @ _zoom_matrix(
+        t, G[r:r + step]).swapaxes(1, 2)), starts, axis=2)
+        for r in range(0, len(G), step)])
 
 
 def zoom_hypervar_and_norm_batch(g: HermitePoly, lam: float, X, R: float):
     """Exact HyperVar_R[zoom of g at x] and ||zoom at x||_2^2 for a batch of x,
     both from the per-level zoom weights."""
-    W = _zoom_level_weights(g, lam, X)
+    W = _zoom_level_weights(g.support, g.vector[None, :], lam, X)[0]
     amp = R ** (2.0 * np.arange(W.shape[1]))
     return W[:, 1:] @ amp[1:], W.sum(axis=1)
 
@@ -274,10 +268,19 @@ def directional_derivative(g: HermitePoly, y) -> HermitePoly:
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"direction has shape {y.shape}, expected ({g.n},)")
-    term, i = np.nonzero((g.support > 0) & (y != 0.0))
-    rows = g.support[term] - np.eye(g.n, dtype=np.intp)[i]
-    values = g.vector[term] * np.sqrt(g.support[term, i]) * y[i]
-    return HermitePoly._of(*_canonical(rows, values))
+    lower, rows = _directional_derivative_rows(g.support, g.vector[None, :], y)
+    return HermitePoly._of(lower, rows[0])
+
+
+def _directional_derivative_rows(support, G, y):
+    """(lower, rows): D_y of each coefficient row of G (K, T) over a graded
+    support, over the graded support `lower`, entries summed in term order."""
+    term, i = np.nonzero((support > 0) & (y != 0.0))
+    lower, at = _graded_unique(
+        support[term] - np.eye(support.shape[1], dtype=np.intp)[i])
+    rows = np.zeros((len(G), len(lower)))
+    np.add.at(rows.T, at, (G[:, term] * np.sqrt(support[term, i]) * y[i]).T)
+    return lower, rows
 
 
 def mult_close(a, b, nu):

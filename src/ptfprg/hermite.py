@@ -82,7 +82,7 @@ class HermitePoly:
         keep = vector != 0.0
         self.n = support.shape[1]
         self.support = _frozen(support[keep].astype(np.intp, copy=False))
-        self.vector = _frozen(vector[keep])
+        self.vector = _frozen(vector[keep].astype(float, copy=False))
         self._view = None
 
     @classmethod
@@ -197,11 +197,21 @@ class HermitePoly:
         if isinstance(other, (int, float)):
             return self.scale(float(other))
         self._check_same_space(other)
-        ia = np.repeat(np.arange(len(self.vector)), len(other.vector))
-        ib = np.tile(np.arange(len(other.vector)), len(self.vector))
-        _, gamma, w = _linearize(self.support[ia], other.support[ib],
-                                 self.vector[ia] * other.vector[ib])
-        return HermitePoly._of(*_canonical(gamma, w))
+        A, B = self.support, other.support
+        # blocks of self's terms bound _linearize's (pairs, n) temporaries;
+        # one bincount over the entries' positions sums them in entry order
+        step = max(1, BLOCK_ELEMS // (4 * self.n * max(len(B), 1)))
+        support, idx, weights = np.zeros((0, self.n), int), [], [[]]
+        for a0 in range(0, len(A), step):
+            ia = np.repeat(np.arange(a0, min(a0 + step, len(A))), len(B))
+            ib = np.tile(np.arange(len(B)), min(step, len(A) - a0))
+            _, gamma, w = _linearize(A[ia], B[ib],
+                                     self.vector[ia] * other.vector[ib])
+            support, at = _graded_unique(np.concatenate([support, gamma]))
+            idx = np.r_[at[idx], at[len(at) - len(gamma):]]
+            weights.append(w)
+        return HermitePoly._of(support, np.bincount(
+            idx, np.concatenate(weights), len(support)))
 
     __rmul__ = __mul__
 
@@ -395,6 +405,16 @@ def _basis(n, d) -> np.ndarray:
     return _frozen(np.concatenate(rows))
 
 
+def _over_basis(support, G):
+    """(basis, rows): the coefficient rows G (K, T) over a graded support,
+    rewritten over the basis of degree <= the support's degree."""
+    basis = _basis(support.shape[1],
+                   int(support[-1].sum()) if len(support) else 0)
+    rows = np.zeros((len(G), len(basis)))
+    rows[:, _graded_unique(np.concatenate([basis, support]))[1][len(basis):]] = G
+    return basis, rows
+
+
 def _design(X, exps) -> np.ndarray:
     """(B, T) values h_alpha(x) of the rows alpha of a support at the points
     x of X."""
@@ -464,8 +484,12 @@ def _square_table(n, e) -> _Contraction:
 
 def _square_rows(F, n, e) -> np.ndarray:
     """Row t: the coefficients of f_t * f_t (degree <= 2e) for coefficient
-    rows F (T, N_e) of degree <= e."""
+    rows F (T, N_e) of degree <= e, in blocks of rows."""
     table = _square_table(n, e)
-    terms = F[:, table.left] * F[:, table.right]
-    terms *= table.weight
-    return _segment_sum(terms, table)
+    out = np.empty((len(F), table.size))
+    step = max(1, BLOCK_ELEMS // max(len(table.left), 1))
+    for t0 in range(0, len(F), step):
+        terms = F[t0:t0 + step, table.left] * F[t0:t0 + step, table.right]
+        terms *= table.weight
+        out[t0:t0 + step] = _segment_sum(terms, table)
+    return out

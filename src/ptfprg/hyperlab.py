@@ -2,10 +2,10 @@
 
 Most results checked here carry an unspecified absolute constant; every such
 check sweeps its constant over a small grid and reports the passing envelope
-instead of asserting one value.  For Dirac samplers the zoomed hypervariance
-and squared 2-norm are computed exactly from the zoom coefficient
-polynomials, removing one layer of Monte Carlo noise from the headline
-experiment.
+instead of asserting one value.  An experiment over a distribution F_{i,j}
+averages its statistic over coefficient rows drawn by one PolySampler.sample
+call on a substream of its master seed; a Dirac sampler yields its base once,
+so for it the zoomed hypervariance and squared 2-norm are exact.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussops import (_zoom_level_weights, directional_derivative, hypervar,
-                       mult_close, zoom_hypervar_and_norm_batch)
-from .hermite import HermitePoly
+from .gaussops import (_directional_derivative_rows, _zoom_level_weights,
+                       hypervar, mult_close)
+from .hermite import HermitePoly, _design
 from .seeding import substream
 from .statgrid import PolySampler
 
@@ -80,36 +80,22 @@ def hypercon_check(g: HermitePoly, q, eta, trials=10_000, master_seed=0,
 
 
 def local_hyperconc_experiment(sampler: PolySampler, R, eps, beta, lam,
-                               x_trials=500, inner_mode="exact",
-                               inner_trials=200, master_seed=0) -> dict:
+                               x_trials=500, inner_trials=200,
+                               master_seed=0) -> dict:
     """Failure rate of HyperVar_R[zoom at x] <= eps^2 ||zoom at x||_2^2.
 
-    Draws x_trials Gaussian centers; for Dirac samplers both sides are exact
-    per x (inner_mode 'exact' is mandatory there), otherwise both sides are
-    averaged over inner_trials fresh polynomial draws.
+    Draws x_trials Gaussian centers, then inner_trials polynomials from the
+    sampler, and averages both sides over the polynomials at each x: exact
+    for a Dirac sampler, which yields its base once.
     """
     if R < 1.0 or not 0.0 < eps < 1.0 or not 0.0 < beta < 1.0:
         raise ValueError("require R >= 1 and eps, beta in (0, 1)")
-    if sampler.dirac and inner_mode != "exact":
-        raise ValueError("Dirac samplers must use the exact inner mode")
     rng = substream(master_seed, "local-hyperconc")
-    n = sampler.base.n
-    X = rng.standard_normal((x_trials, n))
-    if inner_mode == "exact":
-        if not sampler.dirac:
-            raise ValueError("exact inner mode requires a Dirac sampler")
-        hv, n2 = zoom_hypervar_and_norm_batch(sampler.base, lam, X, R)
-    else:
-        hv = np.zeros(x_trials)
-        n2 = np.zeros(x_trials)
-        for _ in range(inner_trials):
-            f = sampler.sample()
-            fh, fn = zoom_hypervar_and_norm_batch(f, lam, X, R)
-            hv += fh
-            n2 += fn
-        hv /= inner_trials
-        n2 /= inner_trials
-    failures = hv > eps * eps * n2
+    X = rng.standard_normal((x_trials, sampler.base.n))
+    W = _zoom_level_weights(*sampler.sample(rng, inner_trials), lam,
+                            X).mean(axis=0)
+    amp = R ** (2.0 * np.arange(W.shape[1]))
+    failures = W[:, 1:] @ amp[1:] > eps * eps * W.sum(axis=1)
     frac = float(failures.mean())
     return {
         "failure_fraction": frac,
@@ -125,46 +111,48 @@ class DerivSequence:
     values: list  # D^0 .. D^d, each >= 0
 
 
+def _derivative_values(support, G, x, ys) -> np.ndarray:
+    """(K, len(ys) + 1): |D_{y_k} ... D_{y_1} f(x)|^2 for k = 0..len(ys),
+    for each coefficient row f of G (K, T) over a graded support."""
+    vals = [G @ _design(x[None, :], support)[0]]
+    for y in ys:
+        support, G = _directional_derivative_rows(support, G, y)
+        vals.append(G @ _design(x[None, :], support)[0])
+    return np.stack(vals, axis=1) ** 2
+
+
 def derivative_sequence(sampler: PolySampler, x, ys, trials=200,
                         master_seed=0) -> DerivSequence:
     """D^k = average over the sampler of |D_{y_k} ... D_{y_1} g(x)|^2.
 
-    Exact (trials ignored) for Dirac samplers.
+    Averages over trials draws from the (master_seed, "deriv-seq")
+    substream; exact (one draw) for Dirac samplers.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for y in ys]
     n = sampler.base.n
     if x.shape != (n,) or any(y.shape != (n,) for y in ys):
         raise ValueError("x and every direction must have the base dimension")
-
-    def one(g):
-        vals = [g.eval(x) ** 2]
-        cur = g
-        for y in ys:
-            cur = directional_derivative(cur, y)
-            vals.append(cur.eval(x) ** 2)
-        return np.array(vals)
-
-    if sampler.dirac:
-        return DerivSequence(values=list(one(sampler.base)))
-    acc = np.zeros(len(ys) + 1)
-    for _ in range(trials):
-        acc += one(sampler.sample())
-    return DerivSequence(values=list(acc / trials))
+    rows = sampler.sample(substream(master_seed, "deriv-seq"), trials)
+    return DerivSequence(values=list(
+        _derivative_values(*rows, x, ys).mean(axis=0)))
 
 
 def derivative_ratio_experiment(sampler: PolySampler, eps, trials=400,
                                 master_seed=0, sweep=SWEEP) -> dict:
     """How often some step of a random derivative sequence jumps by more than
-    C d^6 / eps^2: fractions per swept C, plus the smallest passing C."""
+    C d^6 / eps^2: fractions per swept C, plus the smallest passing C.  Each
+    sequence averages over its own draws from the sampler."""
     n = sampler.base.n
     d = max(sampler.base.degree(), 1)
     rng = substream(master_seed, "deriv-ratio")
+    seeds = substream(master_seed, "deriv-ratio-inner").integers(
+        2**63, size=trials)
     jump = {c: 0 for c in sweep}
-    for _ in range(trials):
+    for seed in seeds:
         x = rng.standard_normal(n)
         ys = [rng.standard_normal(n) for _ in range(d)]
-        seq = derivative_sequence(sampler, x, ys).values
+        seq = derivative_sequence(sampler, x, ys, master_seed=seed).values
         for c in sweep:
             bound = c * d**6 / eps**2
             if any(seq[k + 1] > bound * seq[k] for k in range(d)):
@@ -185,40 +173,27 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
         (beta'/(C k))^{2k} times the original (fraction <= beta' for some C);
     attrition: the amplified hypervariance above level m = ceil(k/2) of the
         zoom rarely exceeds (C beta'/m)^{4m} times the original squared norm.
+    Both the precondition and the zoom statistics average over one set of
+    inner_trials draws from the sampler (the base itself, if Dirac).
     """
     if k < 1 or S < 1.0 or not 0.0 < beta_prime < 1.0:
         raise ValueError("require k >= 1, S >= 1, beta' in (0,1)")
-    n = sampler.base.n
     rng = substream(master_seed, "retention")
+    support, rows = sampler.sample(rng, inner_trials)
 
     # precondition: attenuated on average above level k at amplification S
-    if sampler.dirac:
-        base_hv = hypervar(sampler.base, S, above_level=k)
-        base_n2 = sampler.base.sq2norm()
-    else:
-        svals = []
-        for _ in range(inner_trials):
-            f = sampler.sample()
-            svals.append((hypervar(f, S, above_level=k), f.sq2norm()))
-        base_hv = float(np.mean([a for a, _ in svals]))
-        base_n2 = float(np.mean([b for _, b in svals]))
+    levels, sq = support.sum(axis=1), rows * rows
+    base_hv = float(np.mean(sq @ np.where(levels > k, S ** (2.0 * levels), 0)))
+    base_n2 = float(np.mean(sq.sum(axis=1)))
     if base_hv > base_n2 * (1.0 + 1e-9):
         raise ValueError("sampler is not (k, S, 1)-attenuated on average")
 
-    X = rng.standard_normal((trials, n))
+    X = rng.standard_normal((trials, sampler.base.n))
     m = max(1, math.ceil(k / 2))
-
-    def zoom_stats(g):
-        # the zoom's squared 2-norm and S-amplified weight at levels >= m
-        W = _zoom_level_weights(g, lam, X)
-        amp = S ** (2.0 * np.arange(m, W.shape[1]))
-        return np.stack([W.sum(axis=1), W[:, m:] @ amp])
-
-    if sampler.dirac:
-        zn2, zhv = zoom_stats(sampler.base)
-    else:
-        zn2, zhv = sum(zoom_stats(sampler.sample())
-                       for _ in range(inner_trials)) / inner_trials
+    # the zoom's squared 2-norm and S-amplified weight at levels >= m
+    W = _zoom_level_weights(support, rows, lam, X).mean(axis=0)
+    zn2 = W.sum(axis=1)
+    zhv = W[:, m:] @ S ** (2.0 * np.arange(m, W.shape[1]))
     err = math.sqrt(0.25 / trials)
     retention, attrition = {}, {}
     for c in sweep:

@@ -25,25 +25,25 @@ levels by each column's noise factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussops import (_amplified_derivative_rows, _pairs, _zoom_matrix,
-                       amplified_derivative, hypervar, zoom, ZoomSpec)
-from .hermite import (BLOCK_ELEMS, HermitePoly, _basis, _canonical, _design,
-                      _square_rows, _square_table)
+from .gaussops import (_amplified_derivative_rows, _pairs, _zoom_level_weights,
+                       _zoom_matrix)
+from .hermite import (BLOCK_ELEMS, HermitePoly, _basis, _design, _over_basis,
+                      _square_rows)
 from .seeding import substream
 
-__all__ = ["PolySampler", "StatGrid", "mc_average", "stat_identities_check",
-           "grid_csv"]
+__all__ = ["PolySampler", "StatGrid", "stat_identities_check", "grid_csv"]
 
 DEFAULT_TRIALS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolySampler:
-    """Sampler for the derivative/noise polynomial distribution F_{i,j}.
+    """The distribution F_{i,j} of the base polynomial: i amplified noisy
+    derivatives (amplification R, zoom scale lam), then j zooms of scale 1 - lam.
 
     i = j = 0 is the Dirac distribution at the base polynomial.  Every sample
     has degree <= d - i, exactly (the derivative operator drops degree).
@@ -54,7 +54,6 @@ class PolySampler:
     j: int = 0
     R: float = 1.0
     lam: float = 0.5
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
         if self.i < 0 or self.j < 0:
@@ -64,17 +63,35 @@ class PolySampler:
     def dirac(self):
         return self.i == 0 and self.j == 0
 
-    def sample(self) -> HermitePoly:
-        f = self.base
-        n = self.base.n
-        for _ in range(self.i):
-            y = self.rng.standard_normal(n)
-            y2 = self.rng.standard_normal(n)
-            f = amplified_derivative(f, y, y2, self.R, self.lam)
-        for _ in range(self.j):
-            y = self.rng.standard_normal(n)
-            f = zoom(f, ZoomSpec(1.0 - self.lam, y))
-        return f
+    def sample(self, rng, count):
+        """(support, rows): row r holds sample r of F_{i,j} over the graded
+        basis `support`, from one (count, 2i + j, n) draw of normals (per
+        sample: y, y2 of each derivative, then each zoom's center).  A Dirac
+        sampler draws nothing and yields its base once, exactly."""
+        if self.dirac:
+            return self.base.support, self.base.vector[None, :]
+        n, deg = self.base.n, self.base.degree()
+        draws = rng.standard_normal((count, 2 * self.i + self.j, n))
+        degs = [max(deg - k, 0) for k in range(self.i + 1)]
+        tables = [_pairs(_basis(n, e), self.lam) for e in degs[:-1]]
+        widths = [1] + [len(t.derivative.left) for t in tables]
+        if self.j:
+            zoom = _pairs(_basis(n, degs[-1]), 1.0 - self.lam)
+            widths.append(len(zoom.down) ** 2)
+        step = max(1, BLOCK_ELEMS // max(widths))
+        base = _over_basis(self.base.support, self.base.vector[None, :])[1]
+        rows = np.empty((count, len(_basis(n, degs[-1]))))
+        for t0 in range(0, count, step):
+            block = draws[t0:t0 + step]
+            F = np.broadcast_to(base, (len(block), base.shape[1]))
+            for k, t in enumerate(tables):
+                F = _amplified_derivative_rows(F, t, block[:, 2 * k],
+                                               block[:, 2 * k + 1], self.R)
+            for k in range(2 * self.i, 2 * self.i + self.j):
+                H = _design(block[:, k], zoom.down)  # one center per row
+                F = (_zoom_matrix(zoom, F) @ H[:, :, None])[:, :, 0]
+            rows[t0:t0 + step] = F
+        return _basis(n, degs[-1]), rows
 
 
 def _check_centers(X, n) -> np.ndarray:
@@ -110,9 +127,7 @@ class StatGrid:
             raise ValueError(f"mc_trials = {mc_trials}: a Monte Carlo row "
                              "needs at least 2 samples for an error bar")
         self.mc_trials = mc_trials
-        basis = _basis(p.n, p.degree())  # p's coefficient row over it:
-        self._base = _canonical(np.concatenate([basis, p.support]),
-                                np.r_[np.zeros(len(basis)), p.vector])[1]
+        self._base = _over_basis(p.support, p.vector[None, :])[1][0]
         self._rows = {0: self._exact_row(0), 1: self._exact_row(1)}
 
     def _exact_row(self, i):
@@ -146,28 +161,12 @@ class StatGrid:
         return self._rows[i]
 
     def _mc_row(self, i):
-        """The squares of mc_trials samples of F_{i,0}, as coefficient rows.
-
-        The normals are the per-sample loop's (y, y2 for each of the i
-        derivatives of sample 1, then sample 2, ...), drawn as one array."""
-        rng = substream(self.master_seed, "stat-row", i)
-        n, T = self.p.n, self.mc_trials
-        draws = rng.standard_normal((T, i, 2, n))
-        deg = self.p.degree()
-        degs = [max(deg - k, 0) for k in range(i + 1)]
-        tables = [_pairs(_basis(n, e), self.lam) for e in degs[:-1]]
-        width = max([len(t.derivative.left) for t in tables]
-                    + [len(_square_table(n, degs[-1]).left)])
-        step = max(1, BLOCK_ELEMS // width)
-        Q = np.empty((T, len(_basis(n, 2 * degs[-1]))))
-        for t0 in range(0, T, step):
-            block = draws[t0:t0 + step]
-            F = np.broadcast_to(self._base, (len(block), len(self._base)))
-            for k, t in enumerate(tables):
-                F = _amplified_derivative_rows(F, t, block[:, k, 0],
-                                               block[:, k, 1], self.R)
-            Q[t0:t0 + step] = _square_rows(F, n, degs[-1])
-        return 2 * degs[-1], Q
+        """The squares of mc_trials samples of F_{i,0}, as coefficient rows,
+        drawn from the row's own substream."""
+        support, F = PolySampler(self.p, i, 0, self.R, self.lam).sample(
+            substream(self.master_seed, "stat-row", i), self.mc_trials)
+        e = int(support[-1].sum())
+        return 2 * e, _square_rows(F, self.p.n, e)
 
     def _check_indices(self, i, j):
         if not (0 <= i <= self.d and 0 <= j <= self.D):
@@ -211,21 +210,6 @@ class StatGrid:
         return mean, err, i <= 1
 
 
-def mc_average(p: HermitePoly, params, i, j, func, trials, master_seed, tag):
-    """Plain Monte Carlo mean and stderr of func(f) over f ~ F_{i,j}.
-
-    The reference the grid's exact rows and identities are checked against;
-    each tag draws from its own (master_seed, tag, i, j) substream.
-    """
-    rng = substream(master_seed, tag, i, j)
-    sampler = PolySampler(p, i=i, j=j, R=params.R_bar, lam=params.lambda_bar,
-                          rng=rng)
-    vals = np.empty(trials)
-    for t in range(trials):
-        vals[t] = func(sampler.sample())
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
-
-
 def stat_identities_check(p: HermitePoly, params, i, j, x, trials=2000,
                           master_seed=0) -> dict:
     """Two-sided Monte Carlo check of the grid's defining identities.
@@ -235,19 +219,23 @@ def stat_identities_check(p: HermitePoly, params, i, j, x, trials=2000,
     (b) s_{i,j+1}(x) equals the F_{i,j}-average of the squared 2-norm of the
         zoom at x.
 
-    Each side uses an independent stream; a side is exact where the grid has
-    a closed form.  Passes when |difference| <= 4 * combined stderr.
+    Each side uses an independent stream, the right one `trials` draws of
+    F_{i,j}; a side is exact where the grid has a closed form or F_{i,j} is
+    Dirac.  Passes when |difference| <= 4 * combined stderr.
     """
     grid = StatGrid(p, params, master_seed=master_seed, mc_trials=trials)
     x = np.asarray(x, dtype=float)
     lam, R = params.lambda_bar, params.R_bar
 
-    def side(gi, gj, rj, func, tag):
-        # grid value s_{gi,gj}(x) against the F_{i,rj}-average of func
+    def side(gi, gj, rj, weigh, tag):
+        # s_{gi,gj}(x) against the F_{i,rj}-average of weigh(zoom at x)
         vals, errs, _ = grid.row_batch(gi, x[None, :], [gj])
         lhs, lerr = float(vals[0, 0]), float(errs[0, 0])
-        rhs, rerr = mc_average(p, params, i, rj, func, trials, master_seed,
-                               tag)
+        rows = PolySampler(p, i, rj, R, lam).sample(
+            substream(master_seed, tag, i, rj), trials)
+        v = weigh(_zoom_level_weights(*rows, lam, x[None, :])[:, 0])
+        rhs = float(v.mean())
+        rerr = float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
         # 4 sigma plus a relative floor for the Dirac (zero-variance) cases
         tol = 4.0 * math.hypot(lerr, rerr) + 1e-9 * max(abs(lhs), abs(rhs))
         return {"lhs": lhs, "rhs": rhs, "tol": tol,
@@ -255,11 +243,10 @@ def stat_identities_check(p: HermitePoly, params, i, j, x, trials=2000,
 
     report = {}
     if i + 1 <= params.d:
-        report["derivative_row"] = side(
-            i + 1, 0, 0, lambda f: hypervar(zoom(f, ZoomSpec(lam, x)), R),
-            "ident-a")
-    report["noise_column"] = side(
-        i, j + 1, j, lambda f: zoom(f, ZoomSpec(lam, x)).sq2norm(), "ident-b")
+        report["derivative_row"] = side(i + 1, 0, 0, lambda W: W[:, 1:] @ R ** (
+            2.0 * np.arange(1, W.shape[1])), "ident-a")
+    report["noise_column"] = side(i, j + 1, j, lambda W: W.sum(axis=1),
+                                  "ident-b")
     report["pass"] = all(v["pass"] for v in report.values() if isinstance(v, dict))
     return report
 

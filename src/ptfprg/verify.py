@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .gaussops import ZoomSpec, mult_close, noise_op, stability, zoom
+from .gaussops import mult_close, noise_op, stability, zoom
 from .hermite import HermitePoly
 
 __all__ = [
@@ -182,4 +182,4 @@ def derived_inner_poly(g: HermitePoly, x, r_prime: float, lam: float,
     stability differences the closed forms describe, built exactly as a zoom:
     s^2 = 1 - rho R'^2 (1-lam)."""
     lam_star = 1.0 - rho * r_prime * r_prime * (1.0 - lam)
-    return zoom(g, ZoomSpec(lam_star, np.asarray(x, dtype=float)))
+    return zoom(g, lam_star, x)

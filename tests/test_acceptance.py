@@ -104,7 +104,6 @@ def test_criterion_5_local_hyperconcentration():
         p = random_poly(4, d, rng)
         rep = local_hyperconc_experiment(PolySampler(p), R=R, eps=eps,
                                          beta=beta, lam=lam, x_trials=500,
-                                         inner_mode="exact",
                                          master_seed=SEED + t)
         fracs.append(rep["failure_fraction"])
     err = math.sqrt(0.25 / 500)

@@ -150,6 +150,19 @@ class TestPrintParams:
         assert dumped["n"] == 2 and dumped["d"] == 1
         assert dumped["lambda_exp"] == 4.0
 
+    def test_fool_prints_each_group_it_runs(self):
+        # fool runs its own lambda_exp and M once per (n, d) group of the
+        # suite, whatever --n and --d say
+        r = run_cli(["fool", "--n", "4", "--d", "2", "--samples", "200",
+                     "--seed", "3", "--format", "json", "--print-params"])
+        groups = {(p["n"], p["d"]): p for p in json.loads(r.stderr)}
+        rows = json.loads(r.stdout)["rows"]
+        assert {(row["n"], row["d"]) for row in rows} == set(groups)
+        for row in rows:
+            printed = groups[row["n"], row["d"]]
+            assert printed["seed_bits_per_sample"] == row["seed_bits"]
+            assert printed["lambda_exp"] == 2.0 and printed["M"] == 16
+
 
 class TestMainEntry:
     def test_in_process_invocation(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ptfprg import gaussops
-from ptfprg.gaussops import (AttenuationReport, ZoomSpec, amplified_derivative,
+from ptfprg.gaussops import (AttenuationReport, amplified_derivative,
                              binom_pmf_row, directional_derivative, hypervar,
                              is_attenuated, noise_op, stability, zoom,
                              zoom_coefficient_polys,
@@ -44,18 +44,18 @@ class TestZoom:
     def test_scale_zero_freezes_the_point(self):
         g = random_poly(2, 3, RNG)
         x = RNG.standard_normal(2)
-        z = zoom(g, ZoomSpec(0.0, x))
+        z = zoom(g, 0.0, x)
         assert z.degree() == 0
         assert z.mean() == pytest.approx(g.eval(x), rel=1e-12)
 
     def test_scale_one_is_identity(self):
         g = random_poly(2, 3, RNG)
-        z = zoom(g, ZoomSpec(1.0, RNG.standard_normal(2)))
+        z = zoom(g, 1.0, RNG.standard_normal(2))
         assert coeff_close(z, g)
 
     def test_h2_at_origin_frozen_values(self):
         g = HermitePoly(1, {(2,): 1.0})
-        z = zoom(g, ZoomSpec(0.5, np.array([0.0])))
+        z = zoom(g, 0.5, np.array([0.0]))
         assert z.coeffs.get((1,), 0.0) == pytest.approx(0.0, abs=1e-15)
         assert z.coeffs[(2,)] == pytest.approx(0.5)
         assert z.coeffs[(0,)] == pytest.approx(0.5 * (-1 / math.sqrt(2)))
@@ -69,7 +69,7 @@ class TestZoom:
                 for lam in (0.0, 0.35, 1.0):
                     g = random_poly(n, d, rng)
                     x = rng.standard_normal(n)
-                    z = zoom(g, ZoomSpec(lam, x))
+                    z = zoom(g, lam, x)
                     for _ in range(10):
                         y = rng.standard_normal(n)
                         want = g.eval(np.sqrt(1 - lam) * x + np.sqrt(lam) * y)
@@ -83,21 +83,21 @@ class TestZoom:
         u = noise_op(g, math.sqrt(1 - lam))
         for _ in range(20):
             x = RNG.standard_normal(3)
-            z = zoom(g, ZoomSpec(lam, x))
+            z = zoom(g, lam, x)
             assert z.mean() == pytest.approx(u.eval(x), rel=1e-10, abs=1e-12)
 
     def test_degree_never_grows(self):
         g = random_poly(2, 4, RNG)
-        z = zoom(g, ZoomSpec(0.77, RNG.standard_normal(2)))
+        z = zoom(g, 0.77, RNG.standard_normal(2))
         assert z.degree() <= g.degree()
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
-            ZoomSpec(1.5, np.zeros(2))
+            zoom(HermitePoly(2, {(1, 0): 1.0}), 1.5, np.zeros(2))
 
     def test_center_dimension(self):
         with pytest.raises(ValueError):
-            zoom(HermitePoly(2, {(1, 0): 1.0}), ZoomSpec(0.5, np.zeros(3)))
+            zoom(HermitePoly(2, {(1, 0): 1.0}), 0.5, np.zeros(3))
 
 
 def sparse_poly(n, terms, d, rng):
@@ -115,7 +115,7 @@ class TestZoomHighDimension:
     # C(n + d, d) multi-indices of its degree (2.1 s and 79 MB at n = 14
     # when the table covered the full basis)
     OPS = {
-        "zoom": lambda g, x: zoom(g, ZoomSpec(0.3, x)),
+        "zoom": lambda g, x: zoom(g, 0.3, x),
         "coefficient_polys": lambda g, x: zoom_coefficient_polys(g, 0.3),
         "hypervar_and_norm": lambda g, x: zoom_hypervar_and_norm_batch(
             g, 0.3, x[None, :], 2.0),
@@ -144,7 +144,7 @@ class TestZoomHighDimension:
         for lam in (0.0, 0.35, 1.0):
             g = sparse_poly(12, 6, 3, rng) + HermitePoly.constant(12, 0.5)
             x = rng.standard_normal(12)
-            z = zoom(g, ZoomSpec(lam, x))
+            z = zoom(g, lam, x)
             hv, n2 = zoom_hypervar_and_norm_batch(g, lam, x[None, :], 1.5)
             assert hv[0] == pytest.approx(hypervar(z, 1.5), rel=1e-10)
             assert n2[0] == pytest.approx(z.sq2norm(), rel=1e-10)
@@ -215,7 +215,7 @@ class TestZoomWeightIdentities:
         X = RNG.standard_normal((5, 2))
         hv, n2 = zoom_hypervar_and_norm_batch(g, lam, X, R)
         for i in range(5):
-            z = zoom(g, ZoomSpec(lam, X[i]))
+            z = zoom(g, lam, X[i])
             assert hv[i] == pytest.approx(hypervar(z, R), rel=1e-10)
             assert n2[i] == pytest.approx(z.sq2norm(), rel=1e-10)
 
@@ -346,7 +346,7 @@ class TestAmplifiedDerivative:
         g = random_poly(2, 3, RNG)
         R, lam = 2.0, 0.3
         x = RNG.standard_normal(2)
-        want = hypervar(zoom(g, ZoomSpec(lam, x)), R)
+        want = hypervar(zoom(g, lam, x), R)
         trials = 10_000
         vals = np.empty(trials)
         for t in range(trials):

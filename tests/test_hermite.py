@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptfprg import hermite
 from ptfprg.hermite import HermitePoly, hermite_values, random_poly, total_degree
 
 
@@ -146,6 +148,33 @@ class TestProduct:
         g = random_poly(2, 2, rng)
         assert (2.0 * g).coeffs == pytest.approx(g.scale(2.0).coeffs)
 
+    def test_blocked_product_keeps_bytes(self):
+        # n = 12, 91 terms a side: two blocks of term pairs, summed in the
+        # entry order of one pass over all pairs
+        rng = np.random.default_rng(10)
+        a, b = random_poly(12, 2, rng), random_poly(12, 2, rng)
+        ia = np.repeat(np.arange(len(a.vector)), len(b.vector))
+        ib = np.tile(np.arange(len(b.vector)), len(a.vector))
+        _, gamma, w = hermite._linearize(a.support[ia], b.support[ib],
+                                         a.vector[ia] * b.vector[ib])
+        support, vector = hermite._canonical(gamma, w)
+        prod = a * b
+        assert np.array_equal(prod.support, support)
+        assert np.array_equal(prod.vector, vector)
+
+    def test_dense_product_memory_bounded(self):
+        # two dense degree-2 polynomials at n = 20 (231 terms each, a 1.7
+        # MiB product): one block of all term pairs peaked at 64 MiB
+        rng = np.random.default_rng(11)
+        a, b = random_poly(20, 2, rng), random_poly(20, 2, rng)
+        tracemalloc.start()
+        try:
+            a * b
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestCanonicalForm:
     def test_exact_zeros_dropped(self):
@@ -158,7 +187,10 @@ class TestCanonicalForm:
         assert g.prune(1e-200).coeffs == {}
 
     def test_zero_poly_degree(self):
-        assert HermitePoly.zero(3).degree() == 0
+        zero = HermitePoly.zero(3)
+        assert zero.degree() == 0
+        assert zero.vector.dtype == float
+        assert zero * zero == zero and (zero * zero).vector.dtype == float
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from ptfprg.gaussops import hypervar, is_attenuated, mult_close
+from ptfprg.gaussops import (hypervar, is_attenuated, mult_close,
+                             zoom_hypervar_and_norm_batch)
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.hyperlab import (carbery_wright_check,
                              derivative_ratio_experiment, derivative_sequence,
                              hypercon_check, zoom_ratio_check,
                              local_hyperconc_experiment,
                              retention_attrition_experiment)
+from ptfprg.seeding import substream
 from ptfprg.statgrid import PolySampler
+from sampling_reference import reference_samples
 
 RNG = np.random.default_rng(60)
 
@@ -154,21 +157,33 @@ class TestLocalHyperconc:
         err = math.sqrt(0.25 / 4000)
         assert abs(rep["failure_fraction"] - want) <= 4 * err + 1e-6
 
-    def test_exact_mode_requires_dirac(self):
-        p = random_poly(2, 2, RNG)
-        s = PolySampler(p, i=1, lam=0.3, R=2.0, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            local_hyperconc_experiment(s, R=2.0, eps=0.3, beta=0.1, lam=0.01,
-                                       x_trials=10, inner_mode="exact")
-
     def test_nice_distribution_mode_runs(self):
         p = random_poly(2, 2, RNG)
-        s = PolySampler(p, i=1, lam=0.3, R=2.0, rng=np.random.default_rng(1))
+        s = PolySampler(p, i=1, lam=0.3, R=2.0)
         rep = local_hyperconc_experiment(s, R=2.0, eps=0.5, beta=0.5,
                                          lam=1e-5, x_trials=20,
-                                         inner_mode="mc", inner_trials=30,
-                                         master_seed=6)
+                                         inner_trials=30, master_seed=6)
         assert 0.0 <= rep["failure_fraction"] <= 1.0
+
+    def test_nice_distribution_matches_reference(self):
+        # both sides averaged over the per-sample chain's draws, which
+        # follow the centers on the experiment's stream
+        R, eps, lam, x_trials, inner = 2.0, 0.5, 0.05, 400, 30
+        p = random_poly(2, 3, np.random.default_rng(62))
+        s = PolySampler(p, i=1, j=1, lam=0.3, R=R)
+        rep = local_hyperconc_experiment(s, R=R, eps=eps, beta=0.5, lam=lam,
+                                         x_trials=x_trials,
+                                         inner_trials=inner, master_seed=7)
+        rng = substream(7, "local-hyperconc")
+        X = rng.standard_normal((x_trials, 2))
+        hv, n2 = np.zeros(x_trials), np.zeros(x_trials)
+        for f in reference_samples(s, rng, inner):
+            fh, fn = zoom_hypervar_and_norm_batch(f, lam, X, R)
+            hv += fh
+            n2 += fn
+        want = float((hv > eps * eps * n2).mean())
+        assert 0.0 < want < 1.0
+        assert rep["failure_fraction"] == want
 
 
 class TestDerivativeSequence:
@@ -222,6 +237,36 @@ class TestRetentionAttrition:
         with pytest.raises(ValueError):
             retention_attrition_experiment(PolySampler(p), k=1, S=5.0,
                                            lam=0.5, beta_prime=0.3, trials=10)
+
+
+# a non-Dirac sampler (one noise zoom): each experiment below draws its
+# polynomials from it, at sizes where its fractions are neither 0 nor 1
+NICE = PolySampler(random_poly(2, 2, np.random.default_rng(63)), i=0, j=1,
+                   lam=0.3)
+NICE_EXPERIMENTS = {
+    "local_hyperconc": lambda seed: local_hyperconc_experiment(
+        NICE, R=2.0, eps=0.5, beta=0.5, lam=0.05, x_trials=50,
+        inner_trials=20, master_seed=seed),
+    "derivative_sequence": lambda seed: derivative_sequence(
+        NICE, np.ones(2), [np.ones(2), np.array([1.0, -1.0])], trials=20,
+        master_seed=seed).values,
+    "derivative_ratio": lambda seed: derivative_ratio_experiment(
+        NICE, eps=10.0, trials=50, master_seed=seed),
+    "retention_attrition": lambda seed: retention_attrition_experiment(
+        NICE, k=2, S=2.0, lam=0.5, beta_prime=0.3, trials=50,
+        inner_trials=20, master_seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NICE_EXPERIMENTS))
+def test_nice_sampler_reports_follow_master_seed(name):
+    run = NICE_EXPERIMENTS[name]
+    assert run(3) == run(3)
+
+
+def test_derivative_sequence_reads_master_seed():
+    run = NICE_EXPERIMENTS["derivative_sequence"]
+    assert run(3) != run(4)
 
 
 class TestCarberyWright:

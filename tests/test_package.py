@@ -12,6 +12,7 @@ MODULES = ["ptfprg"] + [f"ptfprg.{m.name}"
                         for m in pkgutil.iter_modules(ptfprg.__path__)]
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(ptfprg.__file__).resolve().parent
 
 
 def load_tracer():
@@ -42,6 +43,30 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in getattr(mod, "__all__", [])
                if not hasattr(mod, attr)]
     assert not missing, missing
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is a knob that does nothing; the
+    # one exception is the battery's uniform check signature, check_*(cfg)
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno} {name}({p})" for p in params
+                       if p not in read
+                       and not (path.name == "battery.py"
+                                and name.startswith("check_") and p == "cfg")]
+    assert not unread, unread
 
 
 def test_benchmark_tracer_hooks_resolve():

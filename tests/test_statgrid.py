@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from ptfprg import gaussops, hermite
-from ptfprg.gaussops import ZoomSpec, hypervar, noise_op, zoom
+from ptfprg.gaussops import hypervar, noise_op, zoom
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.prg import choose_params
 from ptfprg.seeding import substream
-from ptfprg.statgrid import (PolySampler, StatGrid, grid_csv, mc_average,
+from ptfprg.statgrid import (PolySampler, StatGrid, grid_csv,
                              stat_identities_check)
+from sampling_reference import reference_samples, rows_of
 
 RNG = np.random.default_rng(40)
 
@@ -25,42 +26,61 @@ def cell(grid, i, j, x):
     return vals[0, 0], errs[0, 0]
 
 
+def draw(sampler, count, seed):
+    return sampler.sample(np.random.default_rng(seed), count)
+
+
 class TestPolySampler:
     def test_dirac_returns_base(self):
         p = random_poly(2, 2, RNG)
         s = PolySampler(p)
         assert s.dirac
-        assert s.sample().coeffs == p.coeffs
+        support, rows = draw(s, 5, 0)
+        assert np.array_equal(support, p.support)
+        assert np.array_equal(rows, p.vector[None, :])  # once, exactly
 
     def test_derivative_beyond_degree_is_zero(self):
         p = random_poly(2, 2, RNG)
-        s = PolySampler(p, i=p.degree() + 1, lam=0.3, R=2.0,
-                        rng=np.random.default_rng(1))
-        assert s.sample().coeffs == {}
+        s = PolySampler(p, i=p.degree() + 1, lam=0.3, R=2.0)
+        support, rows = draw(s, 4, 1)
+        assert rows.shape == (4, 1) and not rows.any()
 
     def test_degree_bound(self):
         p = random_poly(2, 3, RNG)
         for i in range(4):
-            s = PolySampler(p, i=i, j=1, lam=0.4, R=3.0,
-                            rng=np.random.default_rng(i))
-            f = s.sample()
-            if f.coeffs:
-                assert f.degree() <= p.degree() - i
+            s = PolySampler(p, i=i, j=1, lam=0.4, R=3.0)
+            support, rows = draw(s, 10, i)
+            assert support.sum(axis=1).max() <= max(p.degree() - i, 0)
+            assert rows.shape == (10, len(support))
 
     def test_zoom_steps_keep_dimension(self):
         p = random_poly(3, 2, RNG)
-        s = PolySampler(p, i=0, j=3, lam=0.5, rng=np.random.default_rng(2))
-        assert s.sample().n == 3
+        s = PolySampler(p, i=0, j=3, lam=0.5)
+        assert draw(s, 2, 2)[0].shape[1] == 3
 
     def test_linear_base_derivative_second_moment(self):
         # for a linear base the one-derivative samples are constants whose
         # second moment is the amplified zoom hypervariance R^2 lam
         R, lam = 3.0, 0.25
         p = HermitePoly(1, {(1,): 1.0})
-        s = PolySampler(p, i=1, lam=lam, R=R, rng=np.random.default_rng(3))
-        vals = np.array([s.sample().mean() ** 2 for _ in range(4000)])
+        support, rows = draw(PolySampler(p, i=1, lam=lam, R=R), 4000, 3)
+        assert support.tolist() == [[0]]
+        vals = rows[:, 0] ** 2
         err = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - R * R * lam) <= 4 * err
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (1, 1), (2, 0), (2, 2)])
+    def test_matches_per_sample_reference(self, i, j):
+        # the same normals in the same order as the per-sample chain
+        dense = random_poly(3, 3, np.random.default_rng(20 + i))
+        sparse = HermitePoly(3, {(2, 0, 1): 1.5, (0, 1, 0): -0.7})
+        for p in (dense, sparse):
+            s = PolySampler(p, i=i, j=j, R=3.0, lam=0.3)
+            support, rows = draw(s, 40, 10 * i + j)
+            want = rows_of(reference_samples(
+                s, np.random.default_rng(10 * i + j), 40), support)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(rows - want) <= 1e-12 * scale), (i, j)
 
 
 class TestStatValues:
@@ -78,7 +98,7 @@ class TestStatValues:
         params = make_params()
         grid = StatGrid(p, params, master_seed=1)
         x = RNG.standard_normal(2)
-        want = hypervar(zoom(p, ZoomSpec(params.lambda_bar, x)), params.R_bar)
+        want = hypervar(zoom(p, params.lambda_bar, x), params.R_bar)
         assert cell(grid, 1, 0, x)[0] == pytest.approx(want, rel=1e-9)
 
     def test_bottom_row_constant_across_points(self):
@@ -124,9 +144,11 @@ class TestStatValues:
         grid = StatGrid(p, params, master_seed=6)
         x = np.array([0.4, -1.1])
         exact, _ = cell(grid, 0, 1, x)
-        mc, err = mc_average(p, params, 0, 1, lambda f: f.eval(x) ** 2, 3000,
-                             6, "stat-mc")
-        assert abs(mc - exact) <= 4 * err
+        sampler = PolySampler(p, 0, 1, params.R_bar, params.lambda_bar)
+        support, rows = sampler.sample(substream(6, "stat-mc"), 3000)
+        vals = (rows @ hermite._design(x[None, :], support)[0]) ** 2
+        err = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - exact) <= 4 * err
 
     def test_constant_base_gives_zero_rows(self):
         p = HermitePoly.constant(2, 3.0)
@@ -137,14 +159,14 @@ class TestStatValues:
 
 
 def reference_row(p, params, i, X, cols, trials, seed):
-    """Row i read the per-sample way: PolySampler on the row's substream,
-    each square smoothed per column and evaluated, then mean and stderr."""
-    sampler = PolySampler(p, i=i, R=params.R_bar, lam=params.lambda_bar,
-                          rng=substream(seed, "stat-row", i))
+    """Row i read the per-sample way: the reference chain on the row's
+    substream, each square smoothed per column and evaluated, then mean and
+    stderr."""
+    sampler = PolySampler(p, i=i, R=params.R_bar, lam=params.lambda_bar)
+    polys = reference_samples(sampler, substream(seed, "stat-row", i), trials)
     rhos = [(1.0 - params.lambda_bar) ** (j / 2.0) for j in cols]
     W = np.empty((trials, X.shape[0], len(cols)))
-    for t in range(trials):
-        q = sampler.sample()
+    for t, q in enumerate(polys):
         q = q * q
         for c, rho in enumerate(rhos):
             W[t, :, c] = noise_op(q, rho).eval_batch(X)

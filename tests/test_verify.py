@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptfprg.gaussops import ZoomSpec, amplified_derivative, noise_op, zoom
+from ptfprg.gaussops import amplified_derivative, noise_op, zoom
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.verify import (clean_fraction, derived_inner_poly, jigsaw_check,
                            jigsaw_sides, lagrange_l0, smoothing_chain_experiment,
@@ -180,11 +180,11 @@ class TestStabilityForms:
             z = rng.standard_normal(2)
             y = rng.standard_normal(2)
             y2 = rng.standard_normal(2)
-            ugz = noise_op(zoom(g, ZoomSpec(rho, z)), rp)
+            ugz = noise_op(zoom(g, rho, z), rp)
             lhs[t] = ((ugz.eval(s1 * x + s2 * y)
                        - ugz.eval(s1 * x + s2 * y2)) / math.sqrt(2)) ** 2
             w = amplified_derivative(ug, y, y2, R=1.0, lam=lam)
-            rhs[t] = zoom(w, ZoomSpec(rho, z)).eval(x) ** 2
+            rhs[t] = zoom(w, rho, z).eval(x) ** 2
         for vals, ref in ((lhs, forms.p_lhs), (rhs, forms.p_rhs)):
             err = vals.std(ddof=1) / math.sqrt(trials)
             assert abs(vals.mean() - ref) <= 4 * err
