@@ -62,7 +62,8 @@ IRREDUCIBLE = {
 
 _TABLE_MAX_M = 16  # unused here; perfbench/tracer.py still reads it
 
-_BLOCK_ROWS = 4096  # expand_batch gathers this many samples at a time
+# rows expand_batch gathers at once, and prg.generate_batch stacks blocks to
+_BLOCK_ROWS = 4096
 
 
 @dataclass

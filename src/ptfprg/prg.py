@@ -18,6 +18,7 @@ Two couplings for lambda_bar are provided:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,17 @@ def generate_batch(params: PrgParams, master_seed, count,
     conventional high-quality generator), the rest k-wise: this is the
     replacement-method hybrid w_t with t = gaussian_blocks.  t = 0 is the
     generator itself and t = L a pure Gaussian sample.
+
+    Below `kwise._BLOCK_ROWS` samples, consecutive k-wise blocks are stacked
+    to at most `_BLOCK_ROWS` rows per expansion call, so a small batch does
+    not pay the expansion's fixed per-call cost once per block.  Each block
+    still draws from its own stream, the expansion and Box-Muller act row by
+    row, and blocks are added in block order: the bytes are those of one
+    call per block.
     """
+    if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+            or count < 1):
+        raise ValueError(f"sample count {count!r} is not an int >= 1")
     if params.L > 10**7:
         raise ValueError(f"L = {params.L} blocks is not generatable; "
                          "statistics-only parameter sets cannot be sampled")
@@ -154,11 +165,15 @@ def generate_batch(params: PrgParams, master_seed, count,
                          f"[0, {params.L}]")
     spec = params.block_spec()
     acc = np.zeros((count, params.n))
-    for b in range(params.L):
-        if b < gaussian_blocks:
-            gen = substream(master_seed, "hybrid-gauss", b)
-            acc += gen.standard_normal((count, params.n))
-        else:
-            coeffs = _block_coeffs(params, master_seed, b, count)
-            acc += kwise.kwise_gaussian_batch(coeffs, spec)
+    for b in range(gaussian_blocks):
+        gen = substream(master_seed, "hybrid-gauss", b)
+        acc += gen.standard_normal((count, params.n))
+    stack = max(1, kwise._BLOCK_ROWS // count)  # blocks per expansion call
+    for b0 in range(gaussian_blocks, params.L, stack):
+        coeffs = [_block_coeffs(params, master_seed, b, count)
+                  for b in range(b0, min(b0 + stack, params.L))]
+        Z = kwise.kwise_gaussian_batch(
+            coeffs[0] if len(coeffs) == 1 else np.concatenate(coeffs), spec)
+        for z in Z.reshape(len(coeffs), count, params.n):
+            acc += z
     return math.sqrt(params.lambda_bar) * acc

@@ -68,6 +68,8 @@ class PolySampler:
         basis `support`, from one (count, 2i + j, n) draw of normals (per
         sample: y, y2 of each derivative, then each zoom's center).  A Dirac
         sampler draws nothing and yields its base once, exactly."""
+        if count < 1:
+            raise ValueError(f"sample count {count!r} is below 1")
         if self.dirac:
             return self.base.support, self.base.vector[None, :]
         n, deg = self.base.n, self.base.degree()

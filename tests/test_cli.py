@@ -39,6 +39,13 @@ class TestGen:
         assert set(doc) == {"params", "samples"}
         assert len(doc["samples"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_one_line_error(self, trials):
+        r = run_cli(["gen", "--n", "2", "--d", "1", "--trials", trials])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == (f"ptfprg gen: sample count {trials} is not an "
+                            "int >= 1\n")
+
     def test_header_seed_bits_match_accounting(self):
         from ptfprg.kwise import gaussian_seed_length
         from ptfprg.prg import choose_params

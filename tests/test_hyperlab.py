@@ -269,6 +269,26 @@ def test_derivative_sequence_reads_master_seed():
     assert run(3) != run(4)
 
 
+ZERO_DRAW_EXPERIMENTS = {
+    "local_hyperconc": lambda s: local_hyperconc_experiment(
+        s, R=2.0, eps=0.5, beta=0.5, lam=0.05, x_trials=5, inner_trials=0),
+    "retention_attrition": lambda s: retention_attrition_experiment(
+        s, k=2, S=2.0, lam=0.5, beta_prime=0.3, trials=5, inner_trials=0),
+    "derivative_sequence": lambda s: derivative_sequence(
+        s, np.ones(2), [np.ones(2)], trials=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DRAW_EXPERIMENTS))
+@pytest.mark.parametrize("sampler", [NICE, PolySampler(NICE.base)],
+                         ids=["nice", "dirac"])
+def test_zero_draws_one_line_error(name, sampler):
+    # no numpy concatenate error and no nan: the sampler names the count
+    with pytest.raises(ValueError) as exc:
+        ZERO_DRAW_EXPERIMENTS[name](sampler)
+    assert str(exc.value) == "sample count 0 is below 1"
+
+
 class TestCarberyWright:
     def test_linear_exact_oracle(self):
         g = HermitePoly(2, {(1, 0): 1.0})

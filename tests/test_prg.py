@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,9 +144,25 @@ class TestGenerate:
         assert not np.array_equal(a, c)
 
     def test_single_equals_batch_head(self):
+        # counts on both sides of the stacking boundary kwise._BLOCK_ROWS:
+        # every batch starts with the same rows
         p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
-        assert np.array_equal(generate_batch(p, 11, 1)[0],
-                              generate_batch(p, 11, 3)[0])
+        head = generate_batch(p, 11, 3)
+        assert np.array_equal(generate_batch(p, 11, 1)[0], head[0])
+        for count in (2047, 2048, 4095, 4096, 4097):
+            assert np.array_equal(generate_batch(p, 11, count)[:3], head)
+
+    @pytest.mark.parametrize("count", [0, -2, 2.0, 3.5, True, "4", None])
+    def test_rejects_bad_count(self, count):
+        p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
+        with pytest.raises(ValueError) as exc:
+            generate_batch(p, 0, count)
+        assert str(exc.value) == f"sample count {count!r} is not an int >= 1"
+
+    def test_accepts_numpy_count(self):
+        p = choose_params(3, 1, 0.5, lambda_exp=1.0, M=16)
+        assert np.array_equal(generate_batch(p, 4, np.int64(5)),
+                              generate_batch(p, 4, 5))
 
     def test_seed_accounting(self):
         p = choose_params(5, 2, 0.25, lambda_exp=2.0, M=16)
@@ -234,6 +252,105 @@ class TestReplacementHybrid:
         for t in (1, p.L // 2):
             assert lo <= ests[t] <= hi
 
+
+def reference_generate(params, master_seed, count, gaussian_blocks=0):
+    """generate_batch as one expansion call per block, in block order."""
+    spec = params.block_spec()
+    wspec = kwise.gaussian_word_spec(spec)
+    m = kwise.field_width(wspec)
+    dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.uint64
+    acc = np.zeros((count, params.n))
+    for b in range(params.L):
+        if b < gaussian_blocks:
+            gen = substream(master_seed, "hybrid-gauss", b)
+            acc += gen.standard_normal((count, params.n))
+        else:
+            gen = substream(master_seed, "block", b)
+            coeffs = gen.integers(0, 1 << m, size=(count, wspec.k), dtype=dtype)
+            acc += kwise.kwise_gaussian_batch(coeffs, spec)
+    return math.sqrt(params.lambda_bar) * acc
+
+
+def hybrid_digest(params, count):
+    """sha256 of the four hybrids t = 0, 1, L // 2, L at seed 7, as
+    little-endian float64, first 16 hex digits."""
+    h = hashlib.sha256()
+    for t in (0, 1, params.L // 2, params.L):
+        Z = generate_batch(params, 7, count, gaussian_blocks=t)
+        h.update(np.ascontiguousarray(Z, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+# hybrid_digest(choose_params(3, 1, 0.2, lambda_exp=2.0, M=M), count), L = 25,
+# recorded with one expansion call per block.  M = 16, 32, 64 draw uint16,
+# uint32 and uint64 words.  The bytes go through numpy's float64 log and cos,
+# whose last bits depend on the SIMD kernels in use; PROBE identifies the
+# kernels these digests were recorded with.
+PROBE = "b1a85ae78b59977c"
+DIGESTS = {
+    (16, 1): "c4026444e17db1c7",
+    (16, 3): "e884c157ab11ceab",
+    (16, 500): "d23e847c21e54fd2",
+    (16, 4095): "3f263c56a19a133a",
+    (16, 4097): "1adfeee4a3937c97",
+    (32, 1): "a1b8d3ca0bb9fbad",
+    (32, 3): "16fd1a884a32e510",
+    (32, 500): "7b3bf3a8915f8e4b",
+    (32, 4095): "af585bdc11a6c5ec",
+    (32, 4097): "80bebca17e86ffb0",
+    (64, 1): "62be2ebb456c7316",
+    (64, 3): "8852eedc89350b17",
+    (64, 500): "ae40347c209b02ee",
+    (64, 4095): "8b3fa083b243e21d",
+    (64, 4097): "b495ed8020cea0ec",
+}
+
+
+class TestBlockStacking:
+    """Blocks stacked into one expansion call give the per-block bytes."""
+
+    def test_recorded_digests(self):
+        probe = kwise.to_near_gaussian(np.arange(1 << 16), 16)
+        if hashlib.sha256(probe.tobytes()).hexdigest()[:16] != PROBE:
+            pytest.skip("float64 log/cos kernels differ from the recording "
+                        "ones; test_matches_per_block_reference still runs")
+        for (M, count), want in DIGESTS.items():
+            p = choose_params(3, 1, 0.2, lambda_exp=2.0, M=M)
+            assert hybrid_digest(p, count) == want, (M, count)
+
+    @pytest.mark.parametrize("M", [16, 32, 64])
+    @pytest.mark.parametrize("count", [1, 3, 500, 1366, 2048, 2049, 4097])
+    def test_matches_per_block_reference(self, M, count):
+        p = choose_params(3, 1, 0.2, lambda_exp=2.0, M=M)  # L = 25
+        for t in (0, 1, p.L // 2, p.L - 1, p.L):
+            assert np.array_equal(generate_batch(p, 7, count, gaussian_blocks=t),
+                                  reference_generate(p, 7, count, t)), t
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 2),
+           M=st.sampled_from([2, 16, 32, 64]), count=st.integers(1, 700),
+           data=st.data())
+    def test_reference_property(self, n, d, M, count, data):
+        p = choose_params(n, d, 0.5, lambda_exp=2.0, M=M)
+        t = data.draw(st.integers(0, p.L))
+        assert np.array_equal(generate_batch(p, 3, count, gaussian_blocks=t),
+                              reference_generate(p, 3, count, t))
+
+    @pytest.mark.parametrize("args, kw, count", [
+        ((2, 1, 0.2), {}, 1),  # gen's defaults: L = 625, M = 32
+        ((4, 3, 0.2), dict(lambda_exp=2.0, M=16), 500),  # L = 225
+    ])
+    def test_cold_peak_memory(self, args, kw, count):
+        # stacking is bounded by kwise._BLOCK_ROWS rows, not by L
+        p = choose_params(*args, **kw)
+        kwise._byte_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            generate_batch(p, 1, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 class TestFoolingOracles:
     def test_halfspace_through_origin_is_balanced(self):

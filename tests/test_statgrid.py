@@ -39,6 +39,16 @@ class TestPolySampler:
         assert np.array_equal(support, p.support)
         assert np.array_equal(rows, p.vector[None, :])  # once, exactly
 
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 1), (2, 1)])
+    def test_rejects_count_below_one_before_drawing(self, i, j):
+        s = PolySampler(random_poly(2, 2, RNG), i=i, j=j, lam=0.3, R=2.0)
+        for count in (0, -3):
+            rng = np.random.default_rng(5)
+            with pytest.raises(ValueError,
+                               match=f"^sample count {count} is below 1$"):
+                s.sample(rng, count)
+            assert rng.random() == np.random.default_rng(5).random()
+
     def test_derivative_beyond_degree_is_zero(self):
         p = random_poly(2, 2, RNG)
         s = PolySampler(p, i=p.degree() + 1, lam=0.3, R=2.0)
