@@ -35,14 +35,14 @@ from .verify import (clean_fraction, jigsaw_check, lagrange_l0,
 
 __all__ = ["BatteryConfig", "CHECKS", "run_battery", "builtin_suite",
            "fooling_report", "mollification_error_report",
-           "grid_noise_insensitivity_report", "grid_local_hyperconc_report",
+           "grid_noise_insensitivity_report", "local_hyperconc_report",
+           "grid_local_hyperconc_report",
            "neighbor_hypervariance_report", "sign_expectation"]
 
 
 @dataclass
 class BatteryConfig:
     n: int = 4
-    d: int = 2
     eps: float = 0.2
     seed: int = 0
     trials: int = 2000
@@ -171,24 +171,36 @@ def mollification_error_report(p, params, x_count, master_seed, mc_trials=2000):
             "x_count": x_count, "pass": frac <= bound + 4.0 * err}
 
 
-def grid_noise_insensitivity_report(p, params, x_count, master_seed,
-                                    rows=(0, 1)):
+def grid_noise_insensitivity_report(p, params, x_count, master_seed):
     """Per-pair fraction of centers with s_{i,j} not within e^{+-delta_horz}
-    of s_{i,j+1}, over the exact rows."""
+    of s_{i,j+1}, over the exact rows i <= 1."""
     grid = StatGrid(p, params, master_seed=master_seed)
     X = substream(master_seed, "ni-x").standard_normal((x_count, p.n))
     D = params.D
     beta = params.eps / (8.0 * (params.d + 1) * D)
     worst = 0.0
-    for i in rows:
-        if i > params.d:
-            continue
+    for i in range(min(2, params.d + 1)):
         vals, _, _ = grid.row_batch(i, X, list(range(D)))
         far = ~mult_close(vals[:, :-1], vals[:, 1:], params.delta_horz)
         worst = max(worst, float(far.mean(axis=0).max()))
     err = math.sqrt(0.25 / x_count)
     return {"worst_fraction": worst, "stderr": err, "bound": beta,
             "pass": worst <= beta + 4.0 * err}
+
+
+def local_hyperconc_report(rng, count, x_trials, master_seed, n=4, d=3,
+                           R=2.0, eps=0.3, beta=0.1, c=0.01):
+    """Local hyperconcentration of `count` random polys from rng, poly t on
+    seed master_seed + t, at lam = c eps beta / (R d^{9/2}); passes when every
+    failure fraction is within beta + 4 se."""
+    lam = c * eps * beta / (R * d**4.5)
+    runs = [local_hyperconc_experiment(
+        PolySampler(random_poly(n, d, rng)), R=R, eps=eps, beta=beta,
+        lam=lam, x_trials=x_trials, master_seed=master_seed + t)
+        for t in range(count)]
+    err = math.sqrt(0.25 / x_trials)
+    return {"lam": lam, "runs": runs, "pass": all(
+        r["failure_fraction"] <= beta + 4 * err for r in runs)}
 
 
 def grid_local_hyperconc_report(p, params, x_count, master_seed,
@@ -635,20 +647,10 @@ def check_attenuated_hypercon(cfg):
 
 
 def check_local_hyperconc(cfg):
-    rng = substream(cfg.seed, "lh-batt")
-    d = 3
-    x_trials = 300
-    lam = 0.01 * 0.3 * 0.1 / (2.0 * d**4.5)
-    err = math.sqrt(0.25 / x_trials)
-    fracs = []
-    for t in range(3):
-        p = random_poly(4, d, rng)
-        rep = local_hyperconc_experiment(
-            PolySampler(p), R=2.0, eps=0.3, beta=0.1, lam=lam,
-            x_trials=x_trials, master_seed=cfg.seed + t)
-        fracs.append(rep["failure_fraction"])
-    ok = all(f <= 0.1 + 4 * err for f in fracs)
-    return {"pass": ok, "fractions": fracs}
+    rep = local_hyperconc_report(substream(cfg.seed, "lh-batt"), 3, 300,
+                                 cfg.seed)
+    return {"pass": rep["pass"],
+            "fractions": [r["failure_fraction"] for r in rep["runs"]]}
 
 
 def check_mollifier_error(cfg):
@@ -848,7 +850,7 @@ def run_battery(cfg: BatteryConfig, only=None, kinds=("exact", "statistical")):
         checks.append(entry)
     checks.sort(key=lambda c: c["name"])
     return {
-        "config": {"n": cfg.n, "d": cfg.d, "eps": cfg.eps, "seed": cfg.seed,
+        "config": {"n": cfg.n, "eps": cfg.eps, "seed": cfg.seed,
                    "trials": cfg.trials, "fault": cfg.fault},
         "checks": checks,
         "pass": all(c["pass"] for c in checks),

@@ -1,6 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands: gen, fool, hyperconc, mollifier, stats, verify, battery.
+Subcommands: gen, fool, hyperconc, mollifier, stats, verify, battery.  Each
+accepts exactly the flags it reads (SUBCOMMANDS names them from the one
+table FLAGS); any other flag is an argparse usage error, exit status 2.
 All randomness derives from --seed; reports carry no timestamps, so a run is
 reproducible byte-for-byte.  Invalid inputs (for instance a Monte Carlo size
 below 2) end the run with a one-line error and exit status 1.
@@ -13,92 +15,56 @@ import json
 import sys
 
 from .battery import (BatteryConfig, _fooling_groups, builtin_suite,
-                      fooling_report, run_battery)
+                      fooling_report, local_hyperconc_report, run_battery)
 from .hermite import HermitePoly, random_poly
-from .hyperlab import (carbery_wright_check, zoom_ratio_check,
-                       local_hyperconc_experiment)
+from .hyperlab import carbery_wright_check, zoom_ratio_check
 from .mollifier import analysis_checks_eval_batch, mollifier_eval_batch
 from .prg import choose_params, generate_batch
 from .seeding import substream
-from .statgrid import PolySampler, StatGrid, grid_csv
+from .statgrid import StatGrid, grid_csv
 
-FORMATS = ("csv", "json")
+# Every flag of every subcommand, with its usual default.
+FLAGS = {
+    "--n": dict(type=int, default=4),
+    "--d": dict(type=int, default=2),
+    "--eps": dict(type=float, default=0.2),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=2000),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(),
+    "--lambda-exp": dict(type=float, default=4.0,
+                         help="exponent in lambda_bar = c_lambda (eps/d)^e"),
+    "--c-lambda": dict(type=float, default=1.0),
+    "--k-mult": dict(type=int, default=16, help="k_indep = k_mult * d"),
+    "--M": dict(type=int, help="bits per discretized uniform word"),
+    "--R-bar": dict(type=float, default=91.0),
+    "--K": dict(type=int, default=100, help="delta_horz = 1/(K d D)"),
+    "--coupling": dict(choices=("prg", "analysis"), default="prg"),
+    "--print-params": dict(action="store_true"),
+    "--polys": dict(help="JSON file with a list of polynomial objects"),
+    "--samples": dict(type=int, default=20_000),
+    "--x-trials": dict(type=int),
+    "--R": dict(type=float, default=2.0),
+    "--beta": dict(type=float, default=0.1),
+    "--inner-eps": dict(type=float, default=0.3),
+    "--c-couple": dict(type=float, default=0.01),
+    "--cols": dict(type=int, help="restrict to columns 0..cols"),
+    "--only": dict(help="run a single named check"),
+    "--inject-fault": dict(help="negative-test hook (e.g. 'jigsaw')"),
+}
 
-
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="ptfprg",
-        description="Pseudorandom generator for low-degree polynomial "
-                    "threshold functions over Gaussian space, with its "
-                    "verification batteries.")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p, d_default=2):
-        p.add_argument("--n", type=int, default=4)
-        p.add_argument("--d", type=int, default=d_default)
-        p.add_argument("--eps", type=float, default=0.2)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--format", choices=FORMATS, default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--lambda-exp", type=float, default=None,
-                       help="exponent in lambda_bar = c_lambda (eps/d)^e")
-        p.add_argument("--c-lambda", type=float, default=1.0)
-        p.add_argument("--k-mult", type=int, default=16,
-                       help="k_indep = k_mult * d")
-        p.add_argument("--M", type=int, default=None,
-                       help="bits per discretized uniform word")
-        p.add_argument("--R-bar", type=float, default=91.0)
-        p.add_argument("--K", type=int, default=100,
-                       help="denominator constant in delta_horz = 1/(K d D)")
-        p.add_argument("--coupling", choices=("prg", "analysis"),
-                       default=None)
-        p.add_argument("--print-params", action="store_true")
-        return p
-
-    common(sub.add_parser("gen", help="emit generator samples"), d_default=1)
-    fp = common(sub.add_parser("fool", help="sign-expectation gap vs Gaussian"))
-    fp.add_argument("--polys", default=None,
-                    help="JSON file with a list of polynomial objects")
-    fp.add_argument("--samples", type=int, default=20_000)
-
-    hp = common(sub.add_parser("hyperconc",
-                               help="local hyperconcentration experiments"),
-                d_default=3)
-    hp.add_argument("--x-trials", type=int, default=500)
-    hp.add_argument("--R", type=float, default=2.0)
-    hp.add_argument("--beta", type=float, default=0.1)
-    hp.add_argument("--inner-eps", type=float, default=0.3)
-    hp.add_argument("--c-couple", type=float, default=0.01)
-
-    mp = common(sub.add_parser("mollifier",
-                               help="per-point mollifier and analysis checks"))
-    mp.add_argument("--x-trials", type=int, default=100)
-    mp.add_argument("--polys", default=None)
-
-    sp = common(sub.add_parser("stats", help="dump the statistics grid"))
-    sp.add_argument("--x-trials", type=int, default=5)
-    sp.add_argument("--cols", type=int, default=None,
-                    help="restrict to columns 0..cols")
-    sp.add_argument("--polys", default=None)
-
-    common(sub.add_parser("verify", help="deterministic exact battery"))
-
-    bp = common(sub.add_parser("battery", help="full verification battery"))
-    bp.add_argument("--only", default=None, help="run a single named check")
-    bp.add_argument("--inject-fault", default=None,
-                    help="negative-test hook (e.g. 'jigsaw')")
-    return ap
+# the flags resolve_params passes to choose_params, and those of the grid
+PARAMS = ("--n", "--d", "--eps", "--lambda-exp", "--c-lambda", "--k-mult",
+          "--M", "--R-bar", "--K", "--coupling")
+GRID = PARAMS + ("--seed", "--trials", "--out", "--print-params",
+                 "--x-trials", "--polys")
 
 
-def resolve_params(args, default_lambda_exp=4.0, default_coupling="prg"):
+def resolve_params(args):
     return choose_params(
-        args.n, args.d, args.eps,
-        lambda_exp=args.lambda_exp if args.lambda_exp is not None
-        else default_lambda_exp,
+        args.n, args.d, args.eps, lambda_exp=args.lambda_exp,
         c_lambda=args.c_lambda, k_mult=args.k_mult, M=args.M,
-        R_bar=args.R_bar, K=args.K,
-        coupling=args.coupling or default_coupling)
+        R_bar=args.R_bar, K=args.K, coupling=args.coupling)
 
 
 def _emit(args, text):
@@ -136,9 +102,9 @@ def _load_polys(path):
 
 def cmd_gen(args):
     params = resolve_params(args)
-    _print_params(args, params.describe())
-    Z = generate_batch(params, args.seed, args.trials)
     header = params.describe()
+    _print_params(args, header)
+    Z = generate_batch(params, args.seed, args.trials)
     if args.format == "json":
         _emit(args, _json({"params": header,
                            "samples": [list(map(float, row)) for row in Z]}))
@@ -161,10 +127,8 @@ def cmd_fool(args):
                 f"above the requested bound {args.d}")
     else:
         suite = builtin_suite(args.seed)
-    # full theoretical lambda_bar makes L astronomically large; the fooling
-    # experiment defaults to the lambda_exp = 2 sweep point
-    knobs = {"lambda_exp": 2.0 if args.lambda_exp is None else args.lambda_exp,
-             "M": 16 if args.M is None else args.M, "k_mult": args.k_mult}
+    knobs = {"lambda_exp": args.lambda_exp, "M": args.M,
+             "k_mult": args.k_mult}
     _print_params(args, [params.describe() for params, _ in
                          _fooling_groups(suite, args.eps, **knobs)])
     rep = fooling_report(suite, args.eps, samples=args.samples,
@@ -184,32 +148,25 @@ def cmd_fool(args):
 
 def cmd_hyperconc(args):
     rng = substream(args.seed, "cli-hyperconc")
-    d = args.d
-    lam = args.c_couple * args.inner_eps * args.beta / (args.R * d**4.5)
-    runs = []
-    for t in range(5):
-        p = random_poly(args.n, d, rng)
-        rep = local_hyperconc_experiment(
-            PolySampler(p), R=args.R, eps=args.inner_eps, beta=args.beta,
-            lam=lam, x_trials=args.x_trials, master_seed=args.seed + t)
-        runs.append(rep)
-    g = random_poly(args.n, d, rng)
+    rep = local_hyperconc_report(
+        rng, 5, args.x_trials, args.seed, n=args.n, d=args.d, R=args.R,
+        eps=args.inner_eps, beta=args.beta, c=args.c_couple)
+    g = random_poly(args.n, args.d, rng)
+    trials = max(args.trials * 5, 10_000)
     doc = {
-        "lam": lam,
-        "local_hyperconcentration": runs,
+        "lam": rep["lam"],
+        "local_hyperconcentration": rep["runs"],
         "carbery_wright": carbery_wright_check(
-            g, 0.3, trials=max(args.trials * 5, 10_000),
-            master_seed=args.seed),
+            g, 0.3, trials=trials, master_seed=args.seed),
         "zoom_ratio": zoom_ratio_check(
-            g, lam=1e-4, beta=args.beta,
-            trials=max(args.trials * 5, 10_000), master_seed=args.seed),
+            g, lam=1e-4, beta=args.beta, trials=trials, master_seed=args.seed),
     }
     _emit(args, _json(doc))
     return 0
 
 
 def cmd_mollifier(args):
-    params = resolve_params(args, default_coupling="analysis")
+    params = resolve_params(args)
     _print_params(args, params.describe())
     if args.polys:
         entries = _load_polys(args.polys)
@@ -235,7 +192,7 @@ def cmd_mollifier(args):
 
 
 def cmd_stats(args):
-    params = resolve_params(args, default_coupling="analysis")
+    params = resolve_params(args)
     _print_params(args, params.describe())
     if args.polys:
         p = _load_polys(args.polys)[0]["poly"]
@@ -250,15 +207,14 @@ def cmd_stats(args):
 
 
 def cmd_verify(args):
-    cfg = BatteryConfig(n=args.n, d=args.d, eps=args.eps, seed=args.seed,
-                        trials=args.trials)
+    cfg = BatteryConfig(eps=args.eps, seed=args.seed, trials=args.trials)
     report = run_battery(cfg, kinds=("exact",))
     _emit(args, _json(report))
     return 0 if report["pass"] else 1
 
 
 def cmd_battery(args):
-    cfg = BatteryConfig(n=args.n, d=args.d, eps=args.eps, seed=args.seed,
+    cfg = BatteryConfig(n=args.n, eps=args.eps, seed=args.seed,
                         trials=args.trials, fault=args.inject_fault)
     report = run_battery(cfg, only=args.only)
     if args.only and not report["checks"]:
@@ -267,21 +223,53 @@ def cmd_battery(args):
     return 0 if report["pass"] else 1
 
 
-COMMANDS = {
-    "gen": cmd_gen,
-    "fool": cmd_fool,
-    "hyperconc": cmd_hyperconc,
-    "mollifier": cmd_mollifier,
-    "stats": cmd_stats,
-    "verify": cmd_verify,
-    "battery": cmd_battery,
+# subcommand -> (runner, help, the flags it reads, its own defaults)
+SUBCOMMANDS = {
+    "gen": (cmd_gen, "emit generator samples",
+            PARAMS + ("--seed", "--trials", "--format", "--out",
+                      "--print-params"), {"--d": 1}),
+    # full theoretical lambda_bar makes L astronomically large; the fooling
+    # experiment defaults to the lambda_exp = 2 sweep point
+    "fool": (cmd_fool, "sign-expectation gap vs Gaussian",
+             ("--d", "--eps", "--lambda-exp", "--k-mult", "--M", "--seed",
+              "--format", "--out", "--print-params", "--polys", "--samples"),
+             {"--lambda-exp": 2.0, "--M": 16}),
+    "hyperconc": (cmd_hyperconc, "local hyperconcentration experiments",
+                  ("--n", "--d", "--seed", "--trials", "--out", "--x-trials",
+                   "--R", "--beta", "--inner-eps", "--c-couple"),
+                  {"--d": 3, "--x-trials": 500}),
+    "mollifier": (cmd_mollifier, "per-point mollifier and analysis checks",
+                  GRID, {"--coupling": "analysis", "--x-trials": 100}),
+    "stats": (cmd_stats, "dump the statistics grid",
+              GRID + ("--cols",), {"--coupling": "analysis", "--x-trials": 5}),
+    "verify": (cmd_verify, "deterministic exact battery",
+               ("--eps", "--seed", "--trials", "--out"), {}),
+    "battery": (cmd_battery, "full verification battery",
+                ("--n", "--eps", "--seed", "--trials", "--out", "--only",
+                 "--inject-fault"), {}),
 }
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(
+        prog="ptfprg",
+        description="Pseudorandom generator for low-degree polynomial "
+                    "threshold functions over Gaussian space, with its "
+                    "verification batteries.")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for cmd, (run, text, flags, defaults) in SUBCOMMANDS.items():
+        p = sub.add_parser(cmd, help=text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(run=run, **{f[2:].replace("-", "_"): v
+                                   for f, v in defaults.items()})
+    return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.cmd](args)
+        return args.run(args)
     except ValueError as exc:
         raise SystemExit(f"ptfprg {args.cmd}: {exc}")
 

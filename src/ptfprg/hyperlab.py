@@ -1,7 +1,7 @@
 """Hyperconcentration predicates and the local-hyperconcentration experiments.
 
 Most results checked here carry an unspecified absolute constant; every such
-check sweeps its constant over a small grid and reports the passing envelope
+check sweeps its constant over SWEEP and reports the passing envelope
 instead of asserting one value.  An experiment over a distribution F_{i,j}
 averages its statistic over coefficient rows drawn by one PolySampler.sample
 call on a substream of its master seed; a Dirac sampler yields its base once,
@@ -36,6 +36,11 @@ __all__ = [
 SWEEP = (1.0, 2.0, 4.0, 8.0)
 
 
+def _check_count(name, count):
+    if count < 1:
+        raise ValueError(f"{name} = {count!r} is below 1")
+
+
 @dataclass
 class HyperconReport:
     q: float
@@ -58,6 +63,7 @@ def hypercon_check(g: HermitePoly, q, eta, trials=10_000, master_seed=0,
     """
     if q <= 2:
         raise ValueError("q must exceed 2")
+    _check_count("trials", trials)
     mu = g.mean()
     if exact_amplification is not None:
         R = exact_amplification
@@ -90,6 +96,7 @@ def local_hyperconc_experiment(sampler: PolySampler, R, eps, beta, lam,
     """
     if R < 1.0 or not 0.0 < eps < 1.0 or not 0.0 < beta < 1.0:
         raise ValueError("require R >= 1 and eps, beta in (0, 1)")
+    _check_count("x_trials", x_trials)
     rng = substream(master_seed, "local-hyperconc")
     X = rng.standard_normal((x_trials, sampler.base.n))
     W = _zoom_level_weights(*sampler.sample(rng, inner_trials), lam,
@@ -139,34 +146,35 @@ def derivative_sequence(sampler: PolySampler, x, ys, trials=200,
 
 
 def derivative_ratio_experiment(sampler: PolySampler, eps, trials=400,
-                                master_seed=0, sweep=SWEEP) -> dict:
+                                master_seed=0) -> dict:
     """How often some step of a random derivative sequence jumps by more than
     C d^6 / eps^2: fractions per swept C, plus the smallest passing C.  Each
     sequence averages over its own draws from the sampler."""
+    _check_count("trials", trials)
     n = sampler.base.n
     d = max(sampler.base.degree(), 1)
     rng = substream(master_seed, "deriv-ratio")
     seeds = substream(master_seed, "deriv-ratio-inner").integers(
         2**63, size=trials)
-    jump = {c: 0 for c in sweep}
+    jump = {c: 0 for c in SWEEP}
     for seed in seeds:
         x = rng.standard_normal(n)
         ys = [rng.standard_normal(n) for _ in range(d)]
         seq = derivative_sequence(sampler, x, ys, master_seed=seed).values
-        for c in sweep:
+        for c in SWEEP:
             bound = c * d**6 / eps**2
             if any(seq[k + 1] > bound * seq[k] for k in range(d)):
                 jump[c] += 1
-    out = {c: jump[c] / trials for c in sweep}
+    out = {c: jump[c] / trials for c in SWEEP}
     err = math.sqrt(0.25 / trials)
-    passing = [c for c in sweep if out[c] <= eps + 4.0 * err]
+    passing = [c for c in SWEEP if out[c] <= eps + 4.0 * err]
     return {"fractions": out, "stderr": err, "bound": eps,
             "passing_C": min(passing) if passing else None}
 
 
 def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
                                    beta_prime, trials=400, master_seed=0,
-                                   inner_trials=200, sweep=SWEEP) -> dict:
+                                   inner_trials=200) -> dict:
     """One-stage zoom behavior of a (k, S, 1)-attenuated-on-average sampler.
 
     retention: the zoomed squared 2-norm rarely falls below
@@ -178,6 +186,7 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
     """
     if k < 1 or S < 1.0 or not 0.0 < beta_prime < 1.0:
         raise ValueError("require k >= 1, S >= 1, beta' in (0,1)")
+    _check_count("trials", trials)
     rng = substream(master_seed, "retention")
     support, rows = sampler.sample(rng, inner_trials)
 
@@ -196,11 +205,11 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
     zhv = W[:, m:] @ S ** (2.0 * np.arange(m, W.shape[1]))
     err = math.sqrt(0.25 / trials)
     retention, attrition = {}, {}
-    for c in sweep:
+    for c in SWEEP:
         retention[c] = float((zn2 < (beta_prime / (c * k)) ** (2 * k) * base_n2).mean())
         attrition[c] = float((zhv > (c * beta_prime / m) ** (4 * m) * base_n2).mean())
-    ret_pass = [c for c in sweep if retention[c] <= beta_prime + 4.0 * err]
-    att_pass = [c for c in sweep if attrition[c] <= beta_prime + 4.0 * err]
+    ret_pass = [c for c in SWEEP if retention[c] <= beta_prime + 4.0 * err]
+    att_pass = [c for c in SWEEP if attrition[c] <= beta_prime + 4.0 * err]
     return {
         "retention_fractions": retention,
         "attrition_fractions": attrition,
@@ -211,35 +220,37 @@ def retention_attrition_experiment(sampler: PolySampler, k, S, lam,
     }
 
 
-def carbery_wright_check(g: HermitePoly, delta, trials=20_000, master_seed=0,
-                         sweep=SWEEP) -> dict:
+def carbery_wright_check(g: HermitePoly, delta, trials=20_000,
+                         master_seed=0) -> dict:
     """Anticoncentration: Pr[|g| < (delta/(C d))^d ||g||_2] <= delta.
 
     Sweeps C and reports the smallest passing value.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta outside [0, 1]")
+    _check_count("trials", trials)
     d = max(g.degree(), 1)
     norm = math.sqrt(g.sq2norm())
     rng = substream(master_seed, "carbery-wright")
     vals = np.abs(g.eval_batch(rng.standard_normal((trials, g.n))))
     err = math.sqrt(0.25 / trials)
     fractions = {}
-    for c in sweep:
+    for c in SWEEP:
         thr = (delta / (c * d)) ** d * norm
         fractions[c] = float((vals < thr).mean())
-    passing = [c for c in sweep if fractions[c] <= delta + 4.0 * err]
+    passing = [c for c in SWEEP if fractions[c] <= delta + 4.0 * err]
     return {"fractions": fractions, "stderr": err, "bound": delta,
             "passing_C": min(passing) if passing else None}
 
 
-def zoom_ratio_check(g: HermitePoly, lam, beta, trials=10_000, master_seed=0,
-                      sweep=SWEEP) -> dict:
+def zoom_ratio_check(g: HermitePoly, lam, beta, trials=10_000,
+                     master_seed=0) -> dict:
     """Zoomed values track the center value: the fraction of (x, y) pairs
     with zoom(g, lam, x)(y) not within e^{+-nu} of g(x), nu = C d^2
     sqrt(lam)/beta, should be at most beta for some swept C with nu <= 1."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta outside (0, 1)")
+    _check_count("trials", trials)
     d = max(g.degree(), 1)
     rng = substream(master_seed, "zoom-ratio")
     X = rng.standard_normal((trials, g.n))
@@ -249,11 +260,11 @@ def zoom_ratio_check(g: HermitePoly, lam, beta, trials=10_000, master_seed=0,
     zy = g.eval_batch(math.sqrt(1.0 - lam) * X + math.sqrt(lam) * Y)
     err = math.sqrt(0.25 / trials)
     fractions = {}
-    for c in sweep:
+    for c in SWEEP:
         nu = c * d * d * math.sqrt(lam) / beta
         fractions[c] = {"nu": nu, "fraction":
                         float(1.0 - mult_close(zy, gx, nu).mean())}
-    passing = [c for c in sweep
+    passing = [c for c in SWEEP
                if fractions[c]["nu"] <= 1.0
                and fractions[c]["fraction"] <= beta + 4.0 * err]
     return {"fractions": fractions, "stderr": err, "bound": beta,

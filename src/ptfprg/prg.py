@@ -3,8 +3,8 @@
 Parameter selection couples the pieces: lambda_bar = c_lambda * (eps/d)^e
 with L = ceil(1/lambda_bar) and lambda_bar renormalized to exactly 1/L so the
 sum has unit per-coordinate variance; k_indep = k_mult * d covers every
-moment-matching requirement used downstream (k_indep >= 4*d*T at the
-defaults); M is the per-word bit width of the discretized uniforms.
+moment-matching requirement used downstream (k_indep >= 4*d*T, T = 4 fixed);
+M is the per-word bit width of the discretized uniforms.
 
 Two couplings for lambda_bar are provided:
 
@@ -31,6 +31,8 @@ __all__ = ["PrgParams", "choose_params", "generate_batch"]
 # Caps the default M.  Every field width m <= 64 expands through the same
 # byte-split tables, whose size grows with ceil(m/8) and the word dtype.
 M_CAP = 32
+T = 4             # depth of the diagonal check; k_indep must be >= 4 d T
+C_COUPLE = 1e-3   # the constant c of the analysis coupling
 
 
 @dataclass
@@ -70,21 +72,20 @@ class PrgParams:
         return d
 
 
-def lambda_hat_from(lambda_bar, eps, d, T):
+def lambda_hat_from(lambda_bar, eps, d):
     """Diagonal-check threshold: (T d)^{2T} * lh^{T/2} = lambda_bar * eps."""
     return (lambda_bar * eps / float(T * d) ** (2 * T)) ** (2.0 / T)
 
 
-def analysis_zoom_scale(eps, d, T, R_bar, c_couple):
+def analysis_zoom_scale(eps, d, R_bar):
     """Largest lambda_bar with lambda_bar <= c * lambda_hat * beta / (R d^{9/2}),
     beta = eps/(8d): the self-consistent solution of the coupled system."""
     beta = eps / (8.0 * d)
-    return (c_couple * beta / (R_bar * d**4.5 * float(T * d) ** T)) ** 2 * eps
+    return (C_COUPLE * beta / (R_bar * d**4.5 * float(T * d) ** T)) ** 2 * eps
 
 
 def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
-                  M=None, R_bar=91.0, K=100, T=4, coupling="prg",
-                  c_couple=1e-3) -> PrgParams:
+                  M=None, R_bar=91.0, K=100, coupling="prg") -> PrgParams:
     """Resolve the full parameter tuple from (n, d, eps) plus overrides."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
@@ -92,7 +93,7 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
         raise ValueError(f"eps {eps} outside (0, 1)")
     lam = c_lambda * (eps / d) ** lambda_exp
     if coupling == "analysis":
-        lam = min(lam, analysis_zoom_scale(eps, d, T, R_bar, c_couple))
+        lam = min(lam, analysis_zoom_scale(eps, d, R_bar))
     elif coupling != "prg":
         raise ValueError(f"unknown coupling {coupling!r}")
     if lam <= 0.0 or not math.isfinite(1.0 / lam):
@@ -119,7 +120,7 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
         raise ValueError(f"k_indep = {k_indep} below the moment requirement {4 * d * T}")
 
     D = (2 * d + 1) ** 2
-    lh = lambda_hat_from(lam, eps, d, T)
+    lh = lambda_hat_from(lam, eps, d)
     return PrgParams(
         n=n, d=d, eps=eps, lambda_bar=lam, L=L, k_indep=k_indep, M=M,
         R_bar=R_bar, T=T, D=D, lambda_hat=lh,

@@ -30,9 +30,6 @@ __all__ = [
     "derived_inner_poly",
 ]
 
-# RationalProduct: exact rationals in lowest terms
-RationalProduct = Fraction
-
 
 def clean_fraction(j: int, d: int) -> Fraction:
     """prod_{i in [1, 2d+1], i != j} i^2 / (i^2 - j^2), exactly.
@@ -51,11 +48,11 @@ def clean_fraction(j: int, d: int) -> Fraction:
     return out
 
 
-def lagrange_l0(d: int, q: float, dps: int = 60):
+def lagrange_l0(d: int, q: float):
     """Lagrange basis values l_j(0), j = 1..2d+1, at the shifted nodes.
 
     Nodes are x_i = (2/q) (1 - (1-q)^{i^2 / 2}); as q -> 0 they approach i^2
-    and l_j(0) approaches the clean fraction.  Computed at `dps` decimal
+    and l_j(0) approaches the clean fraction.  Computed at 60 decimal
     digits; warns (but still computes) when q exceeds 1/d^10.
     """
     if d < 1:
@@ -66,7 +63,7 @@ def lagrange_l0(d: int, q: float, dps: int = 60):
         warnings.warn(f"q = {q} above the coefficient-bound regime 1/d^10",
                       stacklevel=2)
     count = 2 * d + 1
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         one_m_q = mpmath.mpf(1) - mpmath.mpf(q)
         root = mpmath.sqrt(one_m_q)
         nodes = [(2 / mpmath.mpf(q)) * (1 - root ** (i * i))

@@ -9,7 +9,6 @@ the CLI defaults of the corresponding subcommands.
 """
 
 import json
-import math
 import subprocess
 import sys
 import time
@@ -26,13 +25,12 @@ from ptfprg.battery import (BatteryConfig, builtin_suite,
                             check_noise_semigroup, check_tail_bound,
                             check_two_vs_one_norm, check_zoom_level_identity,
                             check_zoom_ratio, check_zoom_weight_identity,
-                            fooling_report, mollification_error_report,
+                            fooling_report, local_hyperconc_report,
+                            mollification_error_report,
                             neighbor_hypervariance_report)
 from ptfprg.hermite import random_poly
-from ptfprg.hyperlab import local_hyperconc_experiment
 from ptfprg.prg import choose_params
 from ptfprg.seeding import substream
-from ptfprg.statgrid import PolySampler
 
 SEED = 20240817
 
@@ -96,20 +94,12 @@ def test_criterion_4_fooling_suite():
 
 
 def test_criterion_5_local_hyperconcentration():
-    d, R, eps, beta = 3, 2.0, 0.3, 0.1
-    lam = 0.01 * eps * beta / (R * d**4.5)
-    rng = substream(SEED, "acc5")
-    fracs = []
-    for t in range(10):
-        p = random_poly(4, d, rng)
-        rep = local_hyperconc_experiment(PolySampler(p), R=R, eps=eps,
-                                         beta=beta, lam=lam, x_trials=500,
-                                         master_seed=SEED + t)
-        fracs.append(rep["failure_fraction"])
-    err = math.sqrt(0.25 / 500)
-    ok = all(f <= beta + 4 * err for f in fracs)
-    report(5, "local hyperconcentration", ok,
-           f"max fraction={max(fracs):.3f} vs {beta}+4se")
+    # 10 polynomials at n = 4, d = 3, 500 centers each; every failure
+    # fraction within beta = 0.1 plus 4 se
+    rep = local_hyperconc_report(substream(SEED, "acc5"), 10, 500, SEED)
+    worst = max(r["failure_fraction"] for r in rep["runs"])
+    report(5, "local hyperconcentration", rep["pass"],
+           f"max fraction={worst:.3f} vs 0.1+4se")
 
 
 def test_criterion_6_mollification_error():

@@ -63,7 +63,7 @@ class TestFool:
         polys = [random_poly(2, 1, rng).to_json_dict() for _ in range(2)]
         path = tmp_path / "polys.json"
         path.write_text(json.dumps(polys))
-        r = run_cli(["fool", "--polys", str(path), "--n", "2", "--d", "1",
+        r = run_cli(["fool", "--polys", str(path), "--d", "1",
                      "--samples", "4000", "--seed", "3", "--format", "json"])
         assert r.returncode == 0, r.stderr
         doc = json.loads(r.stdout)
@@ -93,7 +93,7 @@ class TestFool:
                           {"alpha": [0, 1], "coeff": float("nan")}]}
         path = tmp_path / "nan.json"
         path.write_text(json.dumps([poly]))
-        r = run_cli(["fool", "--polys", str(path), "--n", "2", "--d", "1",
+        r = run_cli(["fool", "--polys", str(path), "--d", "1",
                      "--samples", "200"])
         assert r.returncode == 1
         assert r.stdout == ""
@@ -159,8 +159,8 @@ class TestPrintParams:
 
     def test_fool_prints_each_group_it_runs(self):
         # fool runs its own lambda_exp and M once per (n, d) group of the
-        # suite, whatever --n and --d say
-        r = run_cli(["fool", "--n", "4", "--d", "2", "--samples", "200",
+        # suite, whatever --d says
+        r = run_cli(["fool", "--d", "2", "--samples", "200",
                      "--seed", "3", "--format", "json", "--print-params"])
         groups = {(p["n"], p["d"]): p for p in json.loads(r.stderr)}
         rows = json.loads(r.stdout)["rows"]
@@ -197,9 +197,8 @@ class TestMonteCarloSizes:
                           "--trials", str(size)],
                 "mollifier": ["mollifier", "--n", "2", "--d", "1",
                               "--x-trials", "2", "--trials", str(size)],
-                "fool": ["fool", "--polys", linear_poly_file, "--n", "2",
-                         "--d", "1", "--samples", str(size), "--format",
-                         "json"]}[cmd]
+                "fool": ["fool", "--polys", linear_poly_file, "--d", "1",
+                         "--samples", str(size), "--format", "json"]}[cmd]
         out = io.StringIO()
         try:
             with contextlib.redirect_stdout(out):
@@ -238,3 +237,64 @@ class TestBadCenters:
                   "--trials", "2"])
         assert exc.value.code == (f"ptfprg {cmd}: centers must be finite "
                                   "(got nan or inf)")
+
+
+GRID_FLAGS = {"--n", "--d", "--eps", "--lambda-exp", "--c-lambda", "--k-mult",
+              "--M", "--R-bar", "--K", "--coupling", "--seed", "--trials",
+              "--out", "--print-params", "--x-trials", "--polys"}
+ACCEPTED = {
+    "gen": GRID_FLAGS - {"--x-trials", "--polys"} | {"--format"},
+    "fool": {"--d", "--eps", "--lambda-exp", "--k-mult", "--M", "--seed",
+             "--format", "--out", "--print-params", "--polys", "--samples"},
+    "hyperconc": {"--n", "--d", "--seed", "--trials", "--out", "--x-trials",
+                  "--R", "--beta", "--inner-eps", "--c-couple"},
+    "mollifier": GRID_FLAGS,
+    "stats": GRID_FLAGS | {"--cols"},
+    "verify": {"--eps", "--seed", "--trials", "--out"},
+    "battery": {"--n", "--eps", "--seed", "--trials", "--out", "--only",
+                "--inject-fault"},
+}
+# the flags every subcommand used to accept, read or not
+OLD_COMMON = {"--n", "--d", "--eps", "--seed", "--trials", "--format", "--out",
+              "--lambda-exp", "--c-lambda", "--k-mult", "--M", "--R-bar",
+              "--K", "--coupling", "--print-params"}
+REMOVED = sorted((cmd, flag) for cmd, flags in ACCEPTED.items()
+                 for flag in OLD_COMMON - flags)
+
+
+def parser_options():
+    import argparse
+    from ptfprg.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {cmd: {opt for a in p._actions for opt in a.option_strings
+                  if not isinstance(a, argparse._HelpAction)}
+            for cmd, p in sub.choices.items()}
+
+
+class TestOptionSets:
+    def test_each_subcommand_accepts_the_flags_it_reads(self):
+        options = parser_options()
+        assert options == ACCEPTED
+        assert sum(map(len, options.values())) == 80
+        assert len(REMOVED) == 39
+
+    @pytest.mark.parametrize("cmd,flag", REMOVED)
+    def test_removed_flag_is_usage_error(self, cmd, flag, capsys):
+        args = [cmd, flag] + ([] if flag == "--print-params" else ["1"])
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_battery_config_keys():
+    from ptfprg.battery import BatteryConfig, run_battery
+    report = run_battery(BatteryConfig(seed=1), only="clean_fraction")
+    assert set(report["config"]) == {"n", "eps", "seed", "trials", "fault"}
+
+
+def test_hyperconc_zero_x_trials_one_line_error():
+    r = run_cli(["hyperconc", "--x-trials", "0"])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "ptfprg hyperconc: x_trials = 0 is below 1\n"

@@ -289,6 +289,34 @@ def test_zero_draws_one_line_error(name, sampler):
     assert str(exc.value) == "sample count 0 is below 1"
 
 
+# every check with a sample count, the count's name, and a run at count t;
+# inner_trials=0 would fail in the sampler, so the count is checked first
+COUNTED_CHECKS = {
+    "local_hyperconc": ("x_trials", lambda t: local_hyperconc_experiment(
+        NICE, R=2.0, eps=0.5, beta=0.5, lam=0.05, x_trials=t,
+        inner_trials=0)),
+    "derivative_ratio": ("trials", lambda t: derivative_ratio_experiment(
+        NICE, eps=10.0, trials=t)),
+    "retention_attrition": ("trials", lambda t: retention_attrition_experiment(
+        NICE, k=2, S=2.0, lam=0.5, beta_prime=0.3, trials=t, inner_trials=0)),
+    "carbery_wright": ("trials", lambda t: carbery_wright_check(
+        NICE.base, 0.3, trials=t)),
+    "zoom_ratio": ("trials", lambda t: zoom_ratio_check(
+        NICE.base, lam=1e-4, beta=0.1, trials=t)),
+    "hypercon": ("trials", lambda t: hypercon_check(
+        NICE.base, q=4.0, eta=1.0, trials=t)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_CHECKS))
+@pytest.mark.parametrize("count", [0, -3])
+def test_count_below_one_names_the_count(name, count):
+    arg, run = COUNTED_CHECKS[name]
+    with pytest.raises(ValueError) as exc:
+        run(count)
+    assert str(exc.value) == f"{arg} = {count} is below 1"
+
+
 class TestCarberyWright:
     def test_linear_exact_oracle(self):
         g = HermitePoly(2, {(1, 0): 1.0})
