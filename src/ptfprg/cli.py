@@ -209,6 +209,8 @@ def cmd_stats(args):
 def cmd_verify(args):
     cfg = BatteryConfig(eps=args.eps, seed=args.seed, trials=args.trials)
     report = run_battery(cfg, kinds=("exact",))
+    # only the settings verify takes; n and fault keep BatteryConfig defaults
+    report["config"] = {"eps": cfg.eps, "seed": cfg.seed, "trials": cfg.trials}
     _emit(args, _json(report))
     return 0 if report["pass"] else 1
 

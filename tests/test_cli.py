@@ -294,6 +294,13 @@ def test_battery_config_keys():
     assert set(report["config"]) == {"n", "eps", "seed", "trials", "fault"}
 
 
+def test_verify_config_keys(capsys):
+    # verify takes no --n and no --inject-fault, so its report names neither
+    assert main(["verify", "--seed", "1", "--eps", "0.3"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"eps": 0.3, "seed": 1, "trials": 2000}
+
+
 def test_hyperconc_zero_x_trials_one_line_error():
     r = run_cli(["hyperconc", "--x-trials", "0"])
     assert r.returncode == 1 and r.stdout == ""
