@@ -9,6 +9,7 @@ four standard errors; exact gates carry the tolerance in the report.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .hermite import (HermitePoly, _design, _monomial_tables, hermite_values,
                       random_poly, total_degree)
 from .hyperlab import (carbery_wright_check, hypercon_check,
                        zoom_ratio_check, local_hyperconc_experiment)
-from .kwise import KWiseSpec, enumerate_seeds, expand, kwise_gaussian_batch
+from .kwise import KWiseSpec, expand_batch, field_width, kwise_gaussian_batch
 from .mollifier import mollifier_eval_batch
 from .prg import choose_params, generate_batch
 from .seeding import substream
@@ -463,24 +464,31 @@ def check_mollifier_scale_invariance(cfg):
     return {"pass": ok}
 
 
+def _block_is_uniform(spec, size):
+    """Whether, over every coefficient row of the spec's k-wise block, each
+    `size`-subset of its n words takes each joint value equally often."""
+    rows = np.array(list(itertools.product(range(1 << field_width(spec)),
+                                           repeat=spec.k)), dtype=np.uint64)
+    words = expand_batch(rows, spec).astype(np.int64)
+    cells = 1 << (spec.M * size)
+    for subset in itertools.combinations(range(spec.n), size):
+        key = np.zeros(len(words), dtype=np.int64)
+        for i in subset:
+            key = (key << spec.M) | words[:, i]
+        if not (np.bincount(key, minlength=cells) == len(words) // cells).all():
+            return False
+    return True
+
+
 def check_kwise_exhaustive(cfg):
-    """Exhaustive seed enumeration at tiny parameters: every k-subset of
+    """Exhaustive enumeration at tiny parameters: over every coefficient row
+    of expand_batch, the k-wise block the generator runs, every k-subset of
     coordinates takes each joint value equally often, exactly."""
-    import itertools
     ok = True
     for k in (1, 2, 3):
         for M in (1, 2):
             for n in range(1, 5):
-                spec = KWiseSpec(k=k, n=n, M=M)
-                words = [tuple(expand(s, spec)) for s in enumerate_seeds(spec)]
-                for subset in itertools.combinations(range(n), min(k, n)):
-                    counts = {}
-                    for w in words:
-                        key = tuple(w[i] for i in subset)
-                        counts[key] = counts.get(key, 0) + 1
-                    want = len(words) // (2 ** (M * len(subset)))
-                    ok &= len(counts) == 2 ** (M * len(subset))
-                    ok &= all(v == want for v in counts.values())
+                ok &= _block_is_uniform(KWiseSpec(k=k, n=n, M=M), min(k, n))
     return {"pass": ok}
 
 

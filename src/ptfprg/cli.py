@@ -85,12 +85,25 @@ def _print_params(args, doc):
 
 
 def _load_polys(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SystemExit(f"polynomial file {path}: {exc.strerror}")
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SystemExit(f"polynomial file {path}: {exc}")
     if isinstance(doc, dict):
         doc = [doc]
+    if not isinstance(doc, list):
+        raise SystemExit(f"polynomial file {path}: expected an object or a "
+                         f"list of objects, got {type(doc).__name__}")
+    if not doc:
+        raise SystemExit(f"polynomial file {path}: holds no polynomial")
     out = []
     for idx, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise SystemExit(f"polynomial #{idx}: expected an object, got "
+                             f"{type(entry).__name__}")
         try:
             poly = HermitePoly.from_json_dict(entry)
         except (KeyError, ValueError, TypeError) as exc:
@@ -192,6 +205,8 @@ def cmd_mollifier(args):
 
 
 def cmd_stats(args):
+    if args.cols is not None and args.cols < 0:
+        raise ValueError(f"cols = {args.cols} is below 0")
     params = resolve_params(args)
     _print_params(args, params.describe())
     if args.polys:

@@ -18,7 +18,6 @@ support, summing over terms left to right in graded order.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from types import MappingProxyType
 from typing import NamedTuple
@@ -64,9 +63,9 @@ class HermitePoly:
     """Polynomial in the orthonormal Hermite basis, in canonical form.
 
     ``support[t]`` is a multi-index and ``vector[t]`` its coefficient; the
-    support is in graded order and no coefficient is exactly zero.  Any other
-    pruning must go through :meth:`prune` explicitly so that Parseval-style
-    identities are never silently broken.
+    support is in graded order and no coefficient is exactly zero; no other
+    coefficient is ever dropped, so Parseval-style identities are never
+    silently broken.
     """
 
     __slots__ = ("n", "support", "vector", "_view")
@@ -118,7 +117,7 @@ class HermitePoly:
         terms = list(terms)
         rows = _checked_rows(int(n), [e for e, _ in terms], "exponent vector")
         values = np.array([float(c) for _, c in terms], dtype=float)
-        return cls._of(*_canonical(*_change_basis(rows, values, 0)))
+        return cls._of(*_canonical(*_change_basis(rows, values)))
 
     # -- structure ------------------------------------------------------
 
@@ -152,19 +151,6 @@ class HermitePoly:
     def weight_at_level(self, k):
         c = self.vector[self.levels == k]
         return sum((c * c).tolist())
-
-    def part(self, op, k):
-        """Projection onto Hermite levels: op is one of '=k', '<k', '>=k'."""
-        cmp = {"=k": np.equal, "<k": np.less, ">=k": np.greater_equal}.get(op)
-        if cmp is None:
-            raise ValueError(f"unknown part selector {op!r}")
-        keep = cmp(self.levels, k)
-        return HermitePoly._of(self.support[keep], self.vector[keep])
-
-    def prune(self, tol):
-        """Drop coefficients with |c| <= tol.  Never called implicitly."""
-        keep = np.abs(self.vector) > tol
-        return HermitePoly._of(self.support[keep], self.vector[keep])
 
     def __eq__(self, other):  # also makes instances unhashable
         return (isinstance(other, HermitePoly) and self.n == other.n
@@ -239,13 +225,7 @@ class HermitePoly:
             out[b:b + step] = _design(X[b:b + step], self.support) @ self.vector
         return out
 
-    # -- monomial basis / serialization ------------------------------------
-
-    def to_monomial_terms(self):
-        """Expand into monomial terms {exponent vector: coeff} (floats)."""
-        expos, w = _canonical(*_change_basis(self.support, self.vector, 1))
-        return {tuple(e): c for e, c in zip(expos.tolist(), w.tolist())
-                if c != 0.0}
+    # -- serialization ------------------------------------------------------
 
     def to_json_dict(self):
         terms = [
@@ -256,7 +236,8 @@ class HermitePoly:
 
     @classmethod
     def from_json_dict(cls, d):
-        """Parse the polynomial JSON format (either basis, finite coeffs)."""
+        """Parse the polynomial JSON format (either basis, finite coeffs);
+        terms that repeat an alpha are summed in either basis."""
         n = int(d["n"])
         basis = d.get("basis", "hermite")
         terms = [(tuple(t["alpha"]), float(t["coeff"])) for t in d["terms"]]
@@ -265,17 +246,11 @@ class HermitePoly:
                 raise ValueError(f"term alpha={list(alpha)} has coefficient "
                                  f"{c}; coefficients must be finite")
         if basis == "hermite":
-            return cls(n, dict(terms))
+            rows = _checked_rows(n, [a for a, _ in terms], "multi-index")
+            return cls._of(*_canonical(rows, np.array([c for _, c in terms])))
         if basis == "monomial":
             return cls.from_monomial_basis(n, terms)
         raise ValueError(f"unknown basis {basis!r}")
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,15 +287,15 @@ def _monomial_tables(m) -> tuple:
     return _frozen(P), _frozen(Q)
 
 
-def _change_basis(rows, w, which):
-    """sum_e w[e] b_{rows[e]} rewritten coordinate by coordinate through
-    table `which` of :func:`_monomial_tables` (0: monomials to Hermite, 1:
-    Hermite to monomials): (rows, weights) entries in itertools.product
-    order, each weight w[e] times one table entry per coordinate."""
+def _change_basis(rows, w):
+    """sum_e w[e] x^{rows[e]} rewritten in the Hermite basis coordinate by
+    coordinate through the table P of :func:`_monomial_tables`: (rows,
+    weights) entries in itertools.product order, each weight w[e] times one
+    table entry per coordinate."""
     p, K = _tensor_expand(rows // 2 + 1)
     rows, w = rows[p], w[p]
     J = rows % 2 + 2 * K
-    table = _monomial_tables(int(rows.max()) if rows.size else 0)[which]
+    table = _monomial_tables(int(rows.max()) if rows.size else 0)[0]
     for i in range(rows.shape[1]):
         w *= table[rows[:, i], J[:, i]]
     return J, w
@@ -333,6 +308,8 @@ def random_poly(n, d, rng, sparsity=None, scale=1.0):
     nonzero coefficients.  The multi-indices are drawn from, and the
     coefficients drawn in, the lexicographic order of the degree <= d indices.
     """
+    if n < 1:
+        raise ValueError(f"n = {n} is below 1")
     alphas = _basis(n, d)
     alphas = alphas[np.lexsort(alphas.T[::-1])]  # lexicographic order
     if sparsity is not None and sparsity < len(alphas):
@@ -350,13 +327,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _checked_rows(n, keys, what) -> np.ndarray:
     """The keys as an (E, n) int array, or ValueError unless each key is n
-    naturals."""
-    rows = [tuple(int(a) for a in key) for key in keys]
-    for key in rows:
+    naturals, each a Python or numpy integer and not a bool."""
+    rows = []
+    for key in map(tuple, keys):
+        if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                   for a in key):
+            raise ValueError(f"{what} {list(key)} has an entry that is not "
+                             "an integer")
+        key = tuple(map(int, key))
         if len(key) != n:
             raise ValueError(f"{what} {key} has length {len(key)}, expected {n}")
         if any(a < 0 for a in key):
             raise ValueError(f"negative exponent in {key}")
+        rows.append(key)
     return np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 

@@ -23,7 +23,6 @@ from .statgrid import PolySampler
 
 __all__ = [
     "HyperconReport",
-    "DerivSequence",
     "hypercon_check",
     "local_hyperconc_experiment",
     "derivative_sequence",
@@ -113,11 +112,6 @@ def local_hyperconc_experiment(sampler: PolySampler, R, eps, beta, lam,
     }
 
 
-@dataclass
-class DerivSequence:
-    values: list  # D^0 .. D^d, each >= 0
-
-
 def _derivative_values(support, G, x, ys) -> np.ndarray:
     """(K, len(ys) + 1): |D_{y_k} ... D_{y_1} f(x)|^2 for k = 0..len(ys),
     for each coefficient row f of G (K, T) over a graded support."""
@@ -129,8 +123,9 @@ def _derivative_values(support, G, x, ys) -> np.ndarray:
 
 
 def derivative_sequence(sampler: PolySampler, x, ys, trials=200,
-                        master_seed=0) -> DerivSequence:
-    """D^k = average over the sampler of |D_{y_k} ... D_{y_1} g(x)|^2.
+                        master_seed=0) -> list:
+    """[D^0, ..., D^len(ys)], D^k = average over the sampler of
+    |D_{y_k} ... D_{y_1} g(x)|^2, each >= 0.
 
     Averages over trials draws from the (master_seed, "deriv-seq")
     substream; exact (one draw) for Dirac samplers.
@@ -141,8 +136,7 @@ def derivative_sequence(sampler: PolySampler, x, ys, trials=200,
     if x.shape != (n,) or any(y.shape != (n,) for y in ys):
         raise ValueError("x and every direction must have the base dimension")
     rows = sampler.sample(substream(master_seed, "deriv-seq"), trials)
-    return DerivSequence(values=list(
-        _derivative_values(*rows, x, ys).mean(axis=0)))
+    return list(_derivative_values(*rows, x, ys).mean(axis=0))
 
 
 def derivative_ratio_experiment(sampler: PolySampler, eps, trials=400,
@@ -160,7 +154,7 @@ def derivative_ratio_experiment(sampler: PolySampler, eps, trials=400,
     for seed in seeds:
         x = rng.standard_normal(n)
         ys = [rng.standard_normal(n) for _ in range(d)]
-        seq = derivative_sequence(sampler, x, ys, master_seed=seed).values
+        seq = derivative_sequence(sampler, x, ys, master_seed=seed)
         for c in SWEEP:
             bound = c * d**6 / eps**2
             if any(seq[k + 1] > bound * seq[k] for k in range(d)):

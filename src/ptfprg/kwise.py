@@ -10,8 +10,8 @@ coordinates.
 
 The field GF(2^m) uses a fixed irreducible polynomial per m (table below,
 m <= 64) so that the integer expansion layer is bit-exact across platforms.
-Evaluation at a fixed point is GF(2)-linear in the coefficients, so the batch
-path, for every m, XORs one table row per coefficient byte.
+Evaluation at a fixed point is GF(2)-linear in the coefficients, so the
+expansion, for every m, XORs one table row per coefficient byte.
 """
 
 from __future__ import annotations
@@ -24,19 +24,15 @@ import numpy as np
 
 __all__ = [
     "KWiseSpec",
-    "KWiseSeed",
     "IRREDUCIBLE",
     "field_width",
     "seed_length",
     "gaussian_word_spec",
     "gaussian_seed_length",
-    "expand",
     "expand_batch",
     "to_near_gaussian",
-    "kwise_gaussian_vector",
     "kwise_gaussian_batch",
     "gf_mul",
-    "enumerate_seeds",
 ]
 
 # Lexicographically smallest low-weight irreducible polynomial of each degree,
@@ -86,33 +82,13 @@ class KWiseSpec:
             raise ValueError(f"field width {field_width(self)} exceeds the m <= 64 table")
 
 
-@dataclass
-class KWiseSeed:
-    """Seed bits, most-significant-first, packed into an int."""
-
-    bits: int
-    nbits: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.nbits:
-            raise ValueError("seed bits do not fit the declared length")
-
-    @classmethod
-    def from_hex(cls, s, nbits):
-        return cls(int(s, 16), nbits)
-
-    def to_hex(self):
-        width = (self.nbits + 3) // 4
-        return format(self.bits, f"0{width}x")
-
-
 def field_width(spec: KWiseSpec) -> int:
     """m = max(M, ceil(log2 n)): wide enough for n points and M output bits."""
     return max(spec.M, (max(spec.n, 2) - 1).bit_length())
 
 
 def seed_length(spec: KWiseSpec) -> int:
-    """Seed bits consumed by expand: k words of m bits."""
+    """Seed bits behind one expanded block: k coefficient words of m bits."""
     return spec.k * field_width(spec)
 
 
@@ -147,34 +123,6 @@ def gf_mul(a: int, b: int, m: int) -> int:
 
 # -- expansion ---------------------------------------------------------------
 
-def _split_coeffs(seed: KWiseSeed, spec: KWiseSpec):
-    m = field_width(spec)
-    need = seed_length(spec)
-    if seed.nbits != need:
-        raise ValueError(f"seed length {seed.nbits} != required {need}")
-    mask = (1 << m) - 1
-    return [(seed.bits >> (m * (spec.k - 1 - j))) & mask for j in range(spec.k)]
-
-
-def expand(seed: KWiseSeed, spec: KWiseSpec):
-    """n words in [0, 2^M): top M bits of the seed polynomial at points 0..n-1.
-
-    The seed encodes coefficients c_0..c_{k-1} of sum_j c_j x^j; evaluations
-    of a random degree-(k-1) polynomial at distinct field elements are k-wise
-    independent and uniform.
-    """
-    m = field_width(spec)
-    coeffs = _split_coeffs(seed, spec)
-    shift = m - spec.M
-    out = []
-    for point in range(spec.n):
-        acc = 0
-        for c in reversed(coeffs):  # Horner, highest degree first
-            acc = gf_mul(acc, point, m) ^ c
-        out.append(acc >> shift)
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _byte_tables(m, k, n):
     """T[j, b, v, i] = (v << 8b) * x_i^j over GF(2^m), in the word dtype.
@@ -203,11 +151,14 @@ def _byte_tables(m, k, n):
 
 
 def expand_batch(coeffs: np.ndarray, spec: KWiseSpec) -> np.ndarray:
-    """Vectorized expand for a (S, k) array of coefficient words.
+    """n words in [0, 2^M) per row of a (S, k) array of coefficient words.
 
-    word[s, i] = XOR_j coeffs[s, j] * x_i^j over GF(2^m), truncated to the
-    top M bits: each coefficient byte contributes one row gather from the
-    spec's byte-split tables, for every field width m <= 64.
+    Row s holds the coefficients c_0..c_{k-1} of sum_j c_j x^j over GF(2^m);
+    word[s, i] is its value at the i-th field element truncated to the top M
+    bits.  Evaluations of a random degree-(k-1) polynomial at distinct field
+    elements are k-wise independent and uniform.  Each coefficient byte
+    contributes one row gather from the spec's byte-split tables, for every
+    field width m <= 64.
     """
     m = field_width(spec)
     if coeffs.shape[1] != spec.k:
@@ -251,28 +202,14 @@ def to_near_gaussian(words, M):
     return r * np.cos(2.0 * math.pi * u[..., 1::2])
 
 
-def kwise_gaussian_vector(seed: KWiseSeed, spec: KWiseSpec) -> np.ndarray:
-    """n near-Gaussians, any spec.k of them jointly independent.
-
-    Two words per coordinate (the expand layer runs at 2k, 2n); each
-    coordinate is the cosine branch of its own Box-Muller pair.
-    """
-    if spec.M < 2 or spec.M % 2:
-        raise ValueError("Box-Muller conversion requires even M >= 2")
-    words = expand(seed, gaussian_word_spec(spec))
-    return to_near_gaussian(words, spec.M)
-
-
 def kwise_gaussian_batch(coeffs: np.ndarray, spec: KWiseSpec) -> np.ndarray:
-    """Vectorized kwise_gaussian_vector: (S, 2k) coefficient words -> (S, n)."""
+    """n near-Gaussians per row of (S, 2k) coefficient words, any spec.k of
+    them jointly independent.
+
+    Two words per coordinate (the expansion runs at 2k, 2n); each coordinate
+    is the cosine branch of its own Box-Muller pair.
+    """
     if spec.M < 2 or spec.M % 2:
         raise ValueError("Box-Muller conversion requires even M >= 2")
     return to_near_gaussian(expand_batch(coeffs, gaussian_word_spec(spec)),
                             spec.M)
-
-
-def enumerate_seeds(spec: KWiseSpec):
-    """All seeds for a spec, for exhaustive uniformity checks (tiny params)."""
-    nb = seed_length(spec)
-    for bits in range(1 << nb):
-        yield KWiseSeed(bits, nb)

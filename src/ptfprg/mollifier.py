@@ -24,27 +24,17 @@ from .gaussops import mult_close
 from .hermite import HermitePoly
 from .statgrid import StatGrid, _check_centers
 
-__all__ = ["SmoothStep", "sigma", "CheckSpec", "soft_check",
+__all__ = ["sigma", "CheckSpec", "soft_check",
            "mollifier_checks", "mollifier_eval_batch", "MollifierValue",
            "analysis_checks", "analysis_checks_eval_batch",
            "AnalysisCheckReport"]
 
 
-@dataclass
-class SmoothStep:
-    """sigma(t) = int_{-1}^{t} (1-u^2)^order du / int_{-1}^{1}, clamped."""
-
-    order: int
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        u = np.clip((t + 1.0) / 2.0, 0.0, 1.0)
-        return betainc(self.order + 1, self.order + 1, u)
-
-
 def sigma(t, order):
-    """SmoothStep(order) at t: a float for a scalar t, else an array."""
-    v = SmoothStep(order)(t)
+    """sigma(t) = int_{-1}^{t} (1-u^2)^order du / int_{-1}^{1}, clamped: a
+    float for a scalar t, else an array."""
+    u = np.clip((np.asarray(t, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
+    v = betainc(order + 1, order + 1, u)
     return float(v) if v.ndim == 0 else v
 
 
@@ -210,10 +200,6 @@ class AnalysisCheckReport:
     def results(self):
         """Ordered (check id, holds) pairs."""
         return list(zip(self._labels, self._holds.tolist()))
-
-    @property
-    def all_hold(self):
-        return self.first_failure is None
 
 
 def analysis_checks(params) -> list:

@@ -97,10 +97,12 @@ class PolySampler:
 
 
 def _check_centers(X, n) -> np.ndarray:
-    """X as a float (B, n) array of finite centers, or ValueError."""
+    """X as a float (B, n) array of B >= 1 finite centers, or ValueError."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"centers have shape {X.shape}, expected (B, {n})")
+    if not len(X):
+        raise ValueError(f"centers have shape {X.shape}: no center to read")
     if not np.isfinite(X).all():
         raise ValueError("centers must be finite (got nan or inf)")
     return X

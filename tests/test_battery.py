@@ -1,6 +1,7 @@
-"""The battery's scipy.special statistics against scipy.stats, and the
-guard that no ptfprg code path imports scipy.stats (a cold import of it
-costs more than the generator checks that once needed it)."""
+"""The battery's scipy.special statistics against scipy.stats, the guard
+that no ptfprg code path imports scipy.stats (a cold import of it costs more
+than the generator checks that once needed it), and negative controls for
+the exhaustive k-wise check."""
 
 import os
 import subprocess
@@ -12,8 +13,11 @@ import pytest
 from scipy.stats import chi2, kstest, kstwo
 
 import ptfprg
-from ptfprg.battery import (BatteryConfig, _ks_norm, _kstwo_sf,
-                            builtin_suite, run_battery)
+from ptfprg import battery
+from ptfprg.battery import (BatteryConfig, _block_is_uniform, _ks_norm,
+                            _kstwo_sf, builtin_suite,
+                            check_kwise_exhaustive, run_battery)
+from ptfprg.kwise import KWiseSpec
 
 SRC = Path(ptfprg.__file__).resolve().parent
 KS_NS = (10_000, 20_000, 50_000)
@@ -89,3 +93,29 @@ def test_hybrid_ks_pvalue_recorded():
 def test_chisq_suite_constant():
     (entry,) = [e for e in builtin_suite(0) if e["poly_id"].endswith("chisq-n2d2")]
     assert entry["poly"].coeffs[(0, 0)] == 1.0 - float(chi2.ppf(0.5, 1))
+
+
+def test_kwise_check_rejects_a_lower_independence_block(monkeypatch):
+    # without its top coefficient the block's polynomial has degree k - 2,
+    # so its words are only (k - 1)-wise independent
+    real = battery.expand_batch
+    calls = []
+
+    def drop_top(coeffs, spec):
+        calls.append(spec)
+        coeffs = coeffs.copy()
+        coeffs[:, -1] = 0
+        return real(coeffs, spec)
+
+    monkeypatch.setattr(battery, "expand_batch", drop_top)
+    assert check_kwise_exhaustive(BatteryConfig()) == {"pass": False}
+    assert len(calls) == 24  # one expansion per (k, M, n) spec
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kwise_block_is_exactly_k_wise(k):
+    # 4^k coefficient rows cannot cover the 4^(k+1) joint values of k + 1
+    # words, so some (k+1)-subset is not uniform
+    spec = KWiseSpec(k=k, n=4, M=2)
+    assert _block_is_uniform(spec, k)
+    assert not _block_is_uniform(spec, k + 1)

@@ -85,6 +85,38 @@ class TestFool:
         r = run_cli(["fool", "--polys", str(path)])
         assert r.returncode != 0
         assert "#0" in r.stderr
+        good = {"n": 2, "terms": [{"alpha": [1, 0], "coeff": 1.0}]}
+        cases = {
+            "missing.json": (None, f"polynomial file {tmp_path}/missing.json: "
+                                   "No such file or directory"),
+            "int.json": (5, f"polynomial file {tmp_path}/int.json: expected "
+                            "an object or a list of objects, got int"),
+            "empty.json": ([], f"polynomial file {tmp_path}/empty.json: "
+                               "holds no polynomial"),
+            "entry.json": ([good, 5], "polynomial #1: expected an object, "
+                                      "got int"),
+            "alpha.json": ([{"n": 2, "terms": [{"alpha": [1.5, 0],
+                                                "coeff": 1.0}]}],
+                           "polynomial #0: multi-index [1.5, 0] has an entry "
+                           "that is not an integer"),
+            "bool.json": ([good, {"n": 2, "terms": [{"alpha": [True, 0],
+                                                     "coeff": 1.0}]}],
+                          "polynomial #1: multi-index [True, 0] has an entry "
+                          "that is not an integer"),
+            "text.json": ("{not json", None),
+        }
+        for name, (doc, message) in cases.items():
+            path = tmp_path / name
+            if doc is not None:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            with pytest.raises(SystemExit) as exc:
+                main(["fool", "--polys", str(path), "--samples", "100"])
+            text = str(exc.value.code)
+            assert "\n" not in text
+            if message is None:
+                assert text.startswith(f"polynomial file {path}: ")
+            else:
+                assert text == message
 
     def test_nonfinite_coefficient_one_line_error(self, tmp_path):
         # json.dump writes NaN, which json.load reads back
@@ -301,7 +333,24 @@ def test_verify_config_keys(capsys):
     assert config == {"eps": 0.3, "seed": 1, "trials": 2000}
 
 
-def test_hyperconc_zero_x_trials_one_line_error():
-    r = run_cli(["hyperconc", "--x-trials", "0"])
+ZERO_X_TRIALS = {"hyperconc": "x_trials = 0 is below 1",
+                 "mollifier": "centers have shape (0, 4): no center to read",
+                 "stats": "centers have shape (0, 4): no center to read"}
+
+
+@pytest.mark.parametrize("cmd", sorted(ZERO_X_TRIALS))
+def test_zero_x_trials_one_line_error(cmd):
+    r = run_cli([cmd, "--x-trials", "0"])
     assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr == "ptfprg hyperconc: x_trials = 0 is below 1\n"
+    assert r.stderr == f"ptfprg {cmd}: {ZERO_X_TRIALS[cmd]}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["stats", "--cols", "-1"], "cols = -1 is below 0"),
+    (["hyperconc", "--n", "0"], "n = 0 is below 1"),
+], ids=["stats-cols", "hyperconc-n"])
+def test_empty_request_one_line_error(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == f"ptfprg {args[0]}: {message}"
+    assert capsys.readouterr().out == ""

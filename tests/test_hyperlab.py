@@ -192,15 +192,15 @@ class TestDerivativeSequence:
         x = np.array([1.5])
         ds = derivative_sequence(PolySampler(g), x,
                                  [np.array([1.0]), np.array([1.0])])
-        assert ds.values[0] == pytest.approx(((1.5**2 - 1) / math.sqrt(2)) ** 2)
-        assert ds.values[1] == pytest.approx(2 * 1.5**2)
-        assert ds.values[2] == pytest.approx(2.0)
+        assert ds[0] == pytest.approx(((1.5**2 - 1) / math.sqrt(2)) ** 2)
+        assert ds[1] == pytest.approx(2 * 1.5**2)
+        assert ds[2] == pytest.approx(2.0)
 
     def test_beyond_degree_is_zero(self):
         g = random_poly(2, 2, RNG)
         ys = [RNG.standard_normal(2) for _ in range(3)]
         ds = derivative_sequence(PolySampler(g), RNG.standard_normal(2), ys)
-        assert ds.values[3] == 0.0
+        assert ds[3] == 0.0
 
     def test_ratio_sweep(self):
         p = random_poly(3, 3, RNG)
@@ -249,7 +249,7 @@ NICE_EXPERIMENTS = {
         inner_trials=20, master_seed=seed),
     "derivative_sequence": lambda seed: derivative_sequence(
         NICE, np.ones(2), [np.ones(2), np.array([1.0, -1.0])], trials=20,
-        master_seed=seed).values,
+        master_seed=seed),
     "derivative_ratio": lambda seed: derivative_ratio_experiment(
         NICE, eps=10.0, trials=50, master_seed=seed),
     "retention_attrition": lambda seed: retention_attrition_experiment(

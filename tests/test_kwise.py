@@ -8,25 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from kwise_reference import ref_gf_mul, reference_words
 from ptfprg import kwise
-from ptfprg.kwise import (IRREDUCIBLE, KWiseSeed, KWiseSpec, enumerate_seeds,
-                          expand, expand_batch, field_width, gf_mul,
-                          gaussian_seed_length, gaussian_word_spec,
-                          kwise_gaussian_batch, kwise_gaussian_vector,
-                          seed_length, to_near_gaussian)
-
-
-def ref_gf_mul(a, b, m):
-    """Independent carry-less multiply + long reduction, for cross-checking."""
-    prod = 0
-    aa = a
-    for i in range(b.bit_length()):
-        if (b >> i) & 1:
-            prod ^= aa << i
-    red = IRREDUCIBLE[m]
-    while prod.bit_length() > m:
-        prod ^= red << (prod.bit_length() - (m + 1))
-    return prod
+from ptfprg.kwise import (IRREDUCIBLE, KWiseSpec, expand_batch, field_width,
+                          gf_mul, gaussian_seed_length, gaussian_word_spec,
+                          kwise_gaussian_batch, seed_length, to_near_gaussian)
 
 
 def random_words(rng, spec, rows):
@@ -36,13 +22,10 @@ def random_words(rng, spec, rows):
                         endpoint=True)
 
 
-def seed_of(row, spec):
-    """The KWiseSeed whose coefficient words are row."""
-    m = field_width(spec)
-    bits = 0
-    for c in row:
-        bits = (bits << m) | int(c)
-    return KWiseSeed(bits, spec.k * m)
+def every_row(spec):
+    """All (2^m)^k rows of coefficient words, c_0 varying slowest."""
+    return np.array(list(itertools.product(range(1 << field_width(spec)),
+                                           repeat=spec.k)), dtype=np.uint64)
 
 
 class TestField:
@@ -131,23 +114,24 @@ class TestSeedLength:
 class TestExpand:
     def test_constant_polynomial_for_k1(self):
         spec = KWiseSpec(k=1, n=5, M=2)
-        for seed in enumerate_seeds(spec):
-            words = expand(seed, spec)
+        for words in expand_batch(every_row(spec), spec).tolist():
             assert len(set(words)) == 1
 
     def test_seed_length_mismatch(self):
+        # a row of k - 1 or k + 1 words is not a seed of this spec
         spec = KWiseSpec(k=2, n=2, M=4)
-        with pytest.raises(ValueError):
-            expand(KWiseSeed(0, 4), spec)
+        for width in (1, 3):
+            with pytest.raises(ValueError, match="wrong width"):
+                expand_batch(np.zeros((1, width), dtype=np.uint64), spec)
 
     def test_exhaustive_pairwise_m1(self):
         spec = KWiseSpec(k=2, n=2, M=1)
-        counts = Counter(tuple(expand(s, spec)) for s in enumerate_seeds(spec))
+        counts = Counter(map(tuple, expand_batch(every_row(spec), spec).tolist()))
         assert counts == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
 
     def test_exhaustive_triplewise(self):
         spec = KWiseSpec(k=3, n=4, M=2)
-        words = [tuple(expand(s, spec)) for s in enumerate_seeds(spec)]
+        words = expand_batch(every_row(spec), spec).tolist()
         for subset in itertools.combinations(range(4), 3):
             counts = Counter(tuple(w[i] for i in subset) for w in words)
             want = len(words) // 4**3
@@ -155,35 +139,35 @@ class TestExpand:
             assert all(v == want for v in counts.values())
 
     def test_determinism_bit_exact(self):
+        # cold and cached tables give the same words
         spec = KWiseSpec(k=4, n=6, M=8)
-        seed = KWiseSeed(0x5A5A_1234, seed_length(spec))
-        assert expand(seed, spec) == expand(seed, spec)
+        row = np.array([[0x5A, 0x5A, 0x12, 0x34]], dtype=np.uint64)
+        kwise._byte_tables.cache_clear()
+        cold = expand_batch(row, spec)
+        assert np.array_equal(expand_batch(row, spec), cold)
 
     def test_against_independent_horner(self):
-        # derived oracle: evaluate the seed polynomial with ref_gf_mul
+        # derived oracle: sum_j c_j x^j with powers built by ref_gf_mul
         spec = KWiseSpec(k=3, n=5, M=6)
         m = field_width(spec)
-        seed = KWiseSeed(0b110100111010101101, seed_length(spec))
-        mask = (1 << m) - 1
-        coeffs = [(seed.bits >> (m * (spec.k - 1 - j))) & mask
-                  for j in range(spec.k)]
-        for i, got in enumerate(expand(seed, spec)):
+        coeffs = [0b110100, 0b111010, 0b101101]
+        got = expand_batch(np.array([coeffs], dtype=np.uint64), spec)[0]
+        for i in range(spec.n):
             val = 0
             for j, c in enumerate(coeffs):
                 term = c
                 for _ in range(j):
                     term = ref_gf_mul(term, i, m)
                 val ^= term
-            assert got == val >> (m - spec.M)
+            assert int(got[i]) == val >> (m - spec.M)
 
     def test_permuting_points_permutes_outputs(self):
-        spec = KWiseSpec(k=3, n=6, M=4)
-        seed = KWiseSeed(0xABCDE % (1 << seed_length(spec)),
-                         seed_length(spec))
-        words = expand(seed, spec)
-        bigger = KWiseSpec(k=3, n=6, M=4)
-        again = expand(seed, bigger)
-        assert words == again  # same points, same outputs, independent calls
+        # word i depends only on the row and point i: over fewer points
+        # (same m) the block is a prefix
+        spec, fewer = KWiseSpec(k=3, n=6, M=4), KWiseSpec(k=3, n=3, M=4)
+        rows = random_words(np.random.default_rng(1), spec, 20)
+        assert np.array_equal(expand_batch(rows, fewer),
+                              expand_batch(rows, spec)[:, :3])
 
     def test_batch_matches_scalar(self):
         # every byte count of the split tables, m = 1..64, and n > 2^M
@@ -198,7 +182,7 @@ class TestExpand:
             batch = expand_batch(rows, spec)
             assert batch.dtype == np.uint64
             for b, row in zip(batch, rows):
-                assert list(b) == expand(seed_of(row, spec), spec), spec
+                assert b.tolist() == reference_words(row, spec), spec
 
     def test_golden_words(self):
         # sha256 of the little-endian uint64 words, recorded from the exp/log
@@ -225,16 +209,6 @@ class TestExpand:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-
-
-class TestSeedHex:
-    def test_round_trip(self):
-        s = KWiseSeed(0x1F2E, 16)
-        assert KWiseSeed.from_hex(s.to_hex(), 16) == s
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            KWiseSeed(16, 4)
 
 
 class TestBoxMuller:
@@ -292,17 +266,15 @@ class TestGaussianVector:
 
     def test_determinism(self):
         spec = KWiseSpec(k=2, n=3, M=8)
-        seed = KWiseSeed(0x1234_5678 % (1 << gaussian_seed_length(spec)),
-                         gaussian_seed_length(spec))
-        a = kwise_gaussian_vector(seed, spec)
-        b = kwise_gaussian_vector(seed, spec)
+        rows = np.array([[0x12, 0x34, 0x56, 0x78]], dtype=np.uint64)
+        a = kwise_gaussian_batch(rows, spec)
+        b = kwise_gaussian_batch(rows, spec)
         assert np.array_equal(a, b)
 
     def test_odd_M_rejected(self):
         spec = KWiseSpec(k=2, n=2, M=3)
         with pytest.raises(ValueError):
-            kwise_gaussian_vector(KWiseSeed(0, gaussian_seed_length(spec)),
-                                  spec)
+            kwise_gaussian_batch(np.zeros((1, 4), dtype=np.uint64), spec)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -310,8 +282,8 @@ class TestGaussianVector:
             rows = random_words(rng, gaussian_word_spec(spec), 5)
             batch = kwise_gaussian_batch(rows, spec)
             for row, z in zip(rows, batch):
-                want = kwise_gaussian_vector(seed_of(row, gaussian_word_spec(spec)),
-                                             spec)
+                want = to_near_gaussian(
+                    reference_words(row, gaussian_word_spec(spec)), spec.M)
                 assert np.array_equal(z, want)
 
     def test_pairwise_correlation(self):
