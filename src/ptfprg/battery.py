@@ -20,8 +20,7 @@ from scipy.special import gammaincinv, ndtr, smirnov
 from . import verify
 from .gaussops import (_pairs, _zoom_matrix, amplified_derivative,
                        binom_pmf_row, hypervar, is_attenuated, mult_close,
-                       noise_op, zoom_coefficient_polys,
-                       zoom_hypervar_and_norm_batch)
+                       noise_op, zoom_coefficient_polys, zoom_hypervar_batch)
 from .hermite import (HermitePoly, _design, _monomial_tables, hermite_values,
                       random_poly, total_degree)
 from .hyperlab import (carbery_wright_check, hypercon_check,
@@ -244,7 +243,7 @@ def neighbor_hypervariance_report(p, params, x_count, master_seed, cols=None,
         b_row, b_err_row, _ = grid.row_batch(i + 1, X, cols)
         for c, j in enumerate(cols):
             s_ij = noise_op(base, grid.column_rho(j))
-            lhs, _ = zoom_hypervar_and_norm_batch(s_ij, lam, X, R0)
+            lhs = zoom_hypervar_batch(s_ij, lam, X, R0)
             a, a_err = a_row[:, c], a_err_row[:, c]
             b, b_err = b_row[:, c], b_err_row[:, c]
             rhs = 8.0 * (a + b) * b

@@ -84,7 +84,9 @@ def _print_params(args, doc):
         sys.stderr.write(_json(doc))
 
 
-def _load_polys(path):
+def _load_polys(path, d, n=None):
+    """The polynomials of a JSON file, each of degree at most d and, when n
+    is given, in n variables."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -108,8 +110,15 @@ def _load_polys(path):
             poly = HermitePoly.from_json_dict(entry)
         except (KeyError, ValueError, TypeError) as exc:
             raise SystemExit(f"polynomial #{idx}: {exc}")
-        out.append({"poly_id": f"{idx:02d}-file", "n": poly.n,
-                    "d": poly.degree(), "poly": poly})
+        poly_id = f"{idx:02d}-file"
+        if poly.degree() > d:
+            raise SystemExit(f"polynomial {poly_id} has degree "
+                             f"{poly.degree()} above the requested bound {d}")
+        if n is not None and poly.n != n:
+            raise SystemExit(f"polynomial {poly_id} has n = {poly.n}, not "
+                             f"the requested n = {n}")
+        out.append({"poly_id": poly_id, "n": poly.n, "d": poly.degree(),
+                    "poly": poly})
     return out
 
 
@@ -132,12 +141,7 @@ def cmd_gen(args):
 
 def cmd_fool(args):
     if args.polys:
-        suite = _load_polys(args.polys)
-        bad = [e for e in suite if e["d"] > args.d]
-        if bad:
-            raise SystemExit(
-                f"polynomial {bad[0]['poly_id']} has degree {bad[0]['d']} "
-                f"above the requested bound {args.d}")
+        suite = _load_polys(args.polys, args.d)
     else:
         suite = builtin_suite(args.seed)
     knobs = {"lambda_exp": args.lambda_exp, "M": args.M,
@@ -182,7 +186,7 @@ def cmd_mollifier(args):
     params = resolve_params(args)
     _print_params(args, params.describe())
     if args.polys:
-        entries = _load_polys(args.polys)
+        entries = _load_polys(args.polys, args.d, args.n)
     else:
         entries = [{"poly_id": "00-random", "poly":
                     random_poly(args.n, args.d,
@@ -210,7 +214,11 @@ def cmd_stats(args):
     params = resolve_params(args)
     _print_params(args, params.describe())
     if args.polys:
-        p = _load_polys(args.polys)[0]["poly"]
+        entries = _load_polys(args.polys, args.d, args.n)
+        if len(entries) > 1:  # the CSV has no poly_id column
+            raise SystemExit(f"polynomial file {args.polys}: holds "
+                             f"{len(entries)} polynomials, stats takes one")
+        p = entries[0]["poly"]
     else:
         p = random_poly(args.n, args.d, substream(args.seed, "cli-stats"))
     grid = StatGrid(p, params, master_seed=args.seed, mc_trials=args.trials)

@@ -32,7 +32,7 @@ __all__ = [
     "binom_pmf_row",
     "zoom_coefficient_polys",
     "zoom",
-    "zoom_hypervar_and_norm_batch",
+    "zoom_hypervar_batch",
     "noise_op",
     "stability",
     "hypervar",
@@ -165,12 +165,12 @@ def _zoom_level_weights(support, G, lam, X) -> np.ndarray:
         for r in range(0, len(G), step)])
 
 
-def zoom_hypervar_and_norm_batch(g: HermitePoly, lam: float, X, R: float):
-    """Exact HyperVar_R[zoom of g at x] and ||zoom at x||_2^2 for a batch of x,
-    both from the per-level zoom weights."""
+def zoom_hypervar_batch(g: HermitePoly, lam: float, X, R: float):
+    """Exact HyperVar_R[zoom of g at x] for a batch of x, from the per-level
+    zoom weights."""
     W = _zoom_level_weights(g.support, g.vector[None, :], lam, X)[0]
     amp = R ** (2.0 * np.arange(W.shape[1]))
-    return W[:, 1:] @ amp[1:], W.sum(axis=1)
+    return W[:, 1:] @ amp[1:]
 
 
 def _level_powers(x, g: HermitePoly) -> np.ndarray:

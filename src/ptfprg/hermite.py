@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -238,13 +239,19 @@ class HermitePoly:
     def from_json_dict(cls, d):
         """Parse the polynomial JSON format (either basis, finite coeffs);
         terms that repeat an alpha are summed in either basis."""
-        n = int(d["n"])
+        n = d["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n = {n!r} is not an integer")
         basis = d.get("basis", "hermite")
-        terms = [(tuple(t["alpha"]), float(t["coeff"])) for t in d["terms"]]
+        terms = [(tuple(t["alpha"]), t["coeff"]) for t in d["terms"]]
         for alpha, c in terms:
-            if not math.isfinite(c):
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise ValueError(f"term alpha={list(alpha)} has coefficient "
+                                 f"{c!r}, which is not a number")
+            if not abs(c) <= sys.float_info.max:  # nan, inf or a huge int
                 raise ValueError(f"term alpha={list(alpha)} has coefficient "
                                  f"{c}; coefficients must be finite")
+        terms = [(alpha, float(c)) for alpha, c in terms]
         if basis == "hermite":
             rows = _checked_rows(n, [a for a, _ in terms], "multi-index")
             return cls._of(*_canonical(rows, np.array([c for _, c in terms])))
@@ -301,20 +308,14 @@ def _change_basis(rows, w):
     return J, w
 
 
-def random_poly(n, d, rng, sparsity=None, scale=1.0):
-    """Random dense polynomial of degree <= d with N(0, scale^2) coefficients.
-
-    If `sparsity` is given, only that many uniformly chosen multi-indices get
-    nonzero coefficients.  The multi-indices are drawn from, and the
-    coefficients drawn in, the lexicographic order of the degree <= d indices.
-    """
+def random_poly(n, d, rng):
+    """Random dense polynomial of degree <= d with N(0, 1) coefficients,
+    drawn in the lexicographic order of the degree <= d multi-indices."""
     if n < 1:
         raise ValueError(f"n = {n} is below 1")
     alphas = _basis(n, d)
     alphas = alphas[np.lexsort(alphas.T[::-1])]  # lexicographic order
-    if sparsity is not None and sparsity < len(alphas):
-        alphas = alphas[rng.choice(len(alphas), size=sparsity, replace=False)]
-    values = scale * rng.standard_normal(len(alphas))
+    values = rng.standard_normal(len(alphas))
     return HermitePoly._of(*_canonical(alphas, values))
 
 

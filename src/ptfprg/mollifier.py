@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc
@@ -24,9 +25,8 @@ from .gaussops import mult_close
 from .hermite import HermitePoly
 from .statgrid import StatGrid, _check_centers
 
-__all__ = ["sigma", "CheckSpec", "soft_check",
-           "mollifier_checks", "mollifier_eval_batch", "MollifierValue",
-           "analysis_checks", "analysis_checks_eval_batch",
+__all__ = ["sigma", "Check", "mollifier_checks", "mollifier_eval_batch",
+           "MollifierValue", "analysis_checks", "analysis_checks_eval_batch",
            "AnalysisCheckReport"]
 
 
@@ -38,44 +38,21 @@ def sigma(t, order):
     return float(v) if v.ndim == 0 else v
 
 
-@dataclass
-class CheckSpec:
-    """Soft inequality s_u >= gamma * s_v between two grid statistics.
+class Check(NamedTuple):
+    """Soft inequality s_u >= gamma * s_v between the grid statistics at the
+    (row, column) positions u and v."""
 
-    kind 'diagonal': s_u = s_{i,1}, s_v = s_{i+1,0} (j is unused, stored 0).
-    kind 'horizontal': s_u = s_{i,j}, s_v = s_{i,j+1}, or the reverse when
-    swap is set.
-    """
-
-    kind: str
-    i: int
-    j: int
+    label: str
+    u: tuple
+    v: tuple
     gamma: float
     delta: float
-    swap: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("diagonal", "horizontal"):
-            raise ValueError(f"unknown check kind {self.kind!r}")
-        if self.gamma <= 0.0 or self.delta <= 0.0:
-            raise ValueError("gamma and delta must be positive")
-
-    def operands(self):
-        """(row, col) grid positions of (s_u, s_v)."""
-        if self.kind == "diagonal":
-            return (self.i, 1), (self.i + 1, 0)
-        a, b = (self.i, self.j), (self.i, self.j + 1)
-        return (b, a) if self.swap else (a, b)
-
-    def label(self):
-        if self.kind == "diagonal":
-            return f"diag[{self.i}]"
-        arrow = "<" if self.swap else ">"
-        return f"horz{arrow}[{self.i},{self.j}]"
 
 
-def _soft_factors(check: CheckSpec, su, sv, order) -> np.ndarray:
-    """sigma(delta^{-1} ln(su / (gamma sv))) for arrays of statistics.
+def _soft_factors(check: Check, su, sv, order) -> np.ndarray:
+    """sigma(delta^{-1} ln(su / (gamma sv))) in [0, 1] for arrays of
+    statistics: exactly 1 when su >= e^delta gamma sv and exactly 0 when
+    su <= e^{-delta} gamma sv.
 
     Elementwise the same arithmetic, bit for bit, as a scalar evaluation with
     math.log: the ratio decides the saturated factors, and only ratios near
@@ -104,35 +81,24 @@ def _soft_factors(check: CheckSpec, su, sv, order) -> np.ndarray:
     return out
 
 
-def soft_check(check: CheckSpec, su, sv, order=4) -> float:
-    """sigma(delta^{-1} ln(su / (gamma sv))) in [0, 1].
-
-    Returns exactly 1 when su >= e^delta gamma sv and exactly 0 when
-    su <= e^{-delta} gamma sv.
-    """
-    return float(_soft_factors(check, [su], [sv], order)[0])
-
-
 def mollifier_checks(params) -> list:
     """The full soft-check collection for a parameter set.
 
-    d diagonal checks (softness 1) plus a pair of horizontal checks for each
-    row i <= d and column j <= D-2 (softness delta_horz): in total
+    d diagonal checks s_{i,1} >= gamma s_{i+1,0} (softness 1), then for each
+    row i <= d and column j <= D-2 the horizontal check s_{i,j} >= gamma
+    s_{i,j+1} followed by its reverse (softness delta_horz): in total
     d + 2 (d+1) (D-1) checks.
     """
     d, D = params.d, params.D
-    checks = []
-    for i in range(d):
-        checks.append(CheckSpec("diagonal", i, 0,
-                                gamma=1.0 / (math.e * params.lambda_hat),
-                                delta=1.0))
-    g = math.exp(-2.0 * params.delta_horz)
+    checks = [Check(f"diag[{i}]", (i, 1), (i + 1, 0),
+                    1.0 / (math.e * params.lambda_hat), 1.0)
+              for i in range(d)]
+    g, delta = math.exp(-2.0 * params.delta_horz), params.delta_horz
     for i in range(d + 1):
         for j in range(D - 1):
-            checks.append(CheckSpec("horizontal", i, j, gamma=g,
-                                    delta=params.delta_horz, swap=False))
-            checks.append(CheckSpec("horizontal", i, j, gamma=g,
-                                    delta=params.delta_horz, swap=True))
+            a, b = (i, j), (i, j + 1)
+            checks.append(Check(f"horz>[{i},{j}]", a, b, g, delta))
+            checks.append(Check(f"horz<[{i},{j}]", b, a, g, delta))
     return checks
 
 
@@ -140,8 +106,6 @@ def mollifier_checks(params) -> list:
 class MollifierValue:
     value: float
     sign: int
-    indicator_plus: float
-    indicator_minus: float
     failed_checks: list
 
 
@@ -155,39 +119,32 @@ def _stat_table(grid: StatGrid, X, max_col):
     return vals
 
 
-def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid = None,
-                         master_seed=0, order=None) -> list:
-    """Product of all soft checks, with the signed indicators, per point.
+def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid) -> list:
+    """Product of all soft checks, with the sign of p, per point.
 
-    Statistics come from the supplied grid (exact rows 0-1, shared Monte
-    Carlo caches above), one table for the whole batch; each soft check is
-    evaluated once over the batch and the factors are multiplied in check
-    order.  The smooth-step order defaults to max(d, 4).
+    Statistics come from the grid (exact rows 0-1, shared Monte Carlo caches
+    above), one table for the whole batch; each soft check is evaluated once
+    over the batch and the factors are multiplied in check order.  The
+    smooth-step order is max(d, 4).
     """
     X = _check_centers(X, p.n)
-    if grid is None:
-        grid = StatGrid(p, params, master_seed=master_seed)
     vals = _stat_table(grid, X, max_col=max(params.D - 1, 1))
-    order = order if order is not None else max(params.d, 4)
+    order = max(params.d, 4)
     checks = mollifier_checks(params)
     values = np.ones(X.shape[0])
     failed = np.zeros((X.shape[0], len(checks)), dtype=bool)
     for k, check in enumerate(checks):
-        (iu, ju), (iv, jv) = check.operands()
+        (iu, ju), (iv, jv) = check.u, check.v
         factor = _soft_factors(check, vals[iu][:, ju], vals[iv][:, jv], order)
         failed[:, k] = factor != 1.0
         values = values * factor
     failed_checks = [[] for _ in range(X.shape[0])]
     rows, cols = np.nonzero(failed)
     for b, k in zip(rows.tolist(), cols.tolist()):
-        failed_checks[b].append(checks[k].label())
+        failed_checks[b].append(checks[k].label)
     signs = np.sign(p.eval_batch(X)).astype(int)
-    return [MollifierValue(value=value, sign=sign,
-                           indicator_plus=value * (sign == 1),
-                           indicator_minus=value * (sign == -1),
-                           failed_checks=names)
-            for value, sign, names in zip(values.tolist(), signs.tolist(),
-                                          failed_checks)]
+    return [MollifierValue(value, sign, names) for value, sign, names
+            in zip(values.tolist(), signs.tolist(), failed_checks)]
 
 
 @dataclass(eq=False)
@@ -220,15 +177,13 @@ def analysis_checks(params) -> list:
 
 
 def analysis_checks_eval_batch(p: HermitePoly, params, X,
-                               grid: StatGrid = None, master_seed=0) -> list:
+                               grid: StatGrid) -> list:
     """Every hard analysis check per point, with the first failure.
 
     Each check is evaluated once over the whole batch.  Monte Carlo rows are
     read at their point estimates; rows 0-1 are exact.
     """
     X = _check_centers(X, p.n)
-    if grid is None:
-        grid = StatGrid(p, params, master_seed=master_seed)
     vals = _stat_table(grid, X, max_col=params.D)
     labels, holds = [], []
     for kind, i, j in analysis_checks(params):

@@ -103,6 +103,18 @@ class TestFool:
                                                      "coeff": 1.0}]}],
                           "polynomial #1: multi-index [True, 0] has an entry "
                           "that is not an integer"),
+            "n-float.json": ([{**good, "n": 2.7}],
+                             "polynomial #0: n = 2.7 is not an integer"),
+            "n-bool.json": ([good, {**good, "n": True}],
+                            "polynomial #1: n = True is not an integer"),
+            "coeff-text.json": ([{"n": 2, "terms": [{"alpha": [1, 0],
+                                                     "coeff": "1.5"}]}],
+                                "polynomial #0: term alpha=[1, 0] has "
+                                "coefficient '1.5', which is not a number"),
+            "coeff-bool.json": ([{"n": 2, "terms": [{"alpha": [1, 0],
+                                                     "coeff": True}]}],
+                                "polynomial #0: term alpha=[1, 0] has "
+                                "coefficient True, which is not a number"),
             "text.json": ("{not json", None),
         }
         for name, (doc, message) in cases.items():
@@ -153,6 +165,42 @@ class TestStatsCmd:
         lines = r.stdout.strip().split("\n")
         assert lines[0] == "i,j,x_id,value,stderr,exact"
         assert len(lines) == 1 + 2 * 3 * 2
+
+
+class TestPolyFileMatchesGrid:
+    # mollifier and stats run the file's polynomial on a grid of --n
+    # variables and degree bound --d; stats writes one polynomial's grid
+    CUBIC = {"n": 2, "terms": [{"alpha": [3, 0], "coeff": 1.0}]}
+    LINEAR = {"n": 2, "terms": [{"alpha": [1, 0], "coeff": 1.0}]}
+
+    @pytest.mark.parametrize("cmd,polys,n,message", [
+        ("mollifier", [LINEAR, CUBIC], 2,
+         "polynomial 01-file has degree 3 above the requested bound 2"),
+        ("stats", [CUBIC], 2,
+         "polynomial 00-file has degree 3 above the requested bound 2"),
+        ("mollifier", [LINEAR], 4,
+         "polynomial 00-file has n = 2, not the requested n = 4"),
+        ("stats", [LINEAR], 3,
+         "polynomial 00-file has n = 2, not the requested n = 3"),
+        ("stats", [LINEAR, LINEAR], 2,
+         "polynomial file {path}: holds 2 polynomials, stats takes one"),
+    ])
+    def test_mismatch_is_one_line_error(self, tmp_path, cmd, polys, n,
+                                        message):
+        path = tmp_path / "polys.json"
+        path.write_text(json.dumps(polys))
+        r = run_cli([cmd, "--polys", str(path), "--n", str(n), "--d", "2",
+                     "--x-trials", "2", "--trials", "50"])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == message.format(path=path) + "\n"
+
+    def test_matching_file_runs(self, tmp_path):
+        path = tmp_path / "polys.json"
+        path.write_text(json.dumps([self.LINEAR]))
+        for cmd in ("mollifier", "stats"):
+            r = run_cli([cmd, "--polys", str(path), "--n", "2", "--d", "2",
+                         "--x-trials", "2", "--trials", "50"])
+            assert r.returncode == 0, r.stderr
 
 
 class TestBattery:

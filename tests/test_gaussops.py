@@ -11,8 +11,7 @@ from ptfprg import gaussops
 from ptfprg.gaussops import (AttenuationReport, amplified_derivative,
                              binom_pmf_row, directional_derivative, hypervar,
                              is_attenuated, noise_op, stability, zoom,
-                             zoom_coefficient_polys,
-                             zoom_hypervar_and_norm_batch)
+                             zoom_coefficient_polys, zoom_hypervar_batch)
 from ptfprg.hermite import HermitePoly, random_poly, total_degree
 
 RNG = np.random.default_rng(20)
@@ -118,8 +117,8 @@ class TestZoomHighDimension:
     OPS = {
         "zoom": lambda g, x: zoom(g, 0.3, x),
         "coefficient_polys": lambda g, x: zoom_coefficient_polys(g, 0.3),
-        "hypervar_and_norm": lambda g, x: zoom_hypervar_and_norm_batch(
-            g, 0.3, x[None, :], 2.0),
+        "hypervar": lambda g, x: zoom_hypervar_batch(g, 0.3, x[None, :],
+                                                     2.0),
     }
 
     @pytest.mark.parametrize("op", sorted(OPS))
@@ -146,9 +145,8 @@ class TestZoomHighDimension:
             g = sparse_poly(12, 6, 3, rng) + HermitePoly.constant(12, 0.5)
             x = rng.standard_normal(12)
             z = zoom(g, lam, x)
-            hv, n2 = zoom_hypervar_and_norm_batch(g, lam, x[None, :], 1.5)
+            hv = zoom_hypervar_batch(g, lam, x[None, :], 1.5)
             assert hv[0] == pytest.approx(hypervar(z, 1.5), rel=1e-10)
-            assert n2[0] == pytest.approx(z.sq2norm(), rel=1e-10)
             for _ in range(5):
                 y = rng.standard_normal(12)
                 want = g.eval(np.sqrt(1 - lam) * x + np.sqrt(lam) * y)
@@ -214,11 +212,10 @@ class TestZoomWeightIdentities:
         g = random_poly(2, 3, RNG)
         lam, R = 0.25, 3.0
         X = RNG.standard_normal((5, 2))
-        hv, n2 = zoom_hypervar_and_norm_batch(g, lam, X, R)
+        hv = zoom_hypervar_batch(g, lam, X, R)
         for i in range(5):
             z = zoom(g, lam, X[i])
             assert hv[i] == pytest.approx(hypervar(z, R), rel=1e-10)
-            assert n2[i] == pytest.approx(z.sq2norm(), rel=1e-10)
 
 
 class TestNoiseOperator:

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from ptfprg.gaussops import (hypervar, is_attenuated, mult_close,
-                             zoom_hypervar_and_norm_batch)
+from ptfprg.gaussops import (_zoom_level_weights, hypervar, is_attenuated,
+                             mult_close, zoom_hypervar_batch)
 from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.hyperlab import (carbery_wright_check,
                              derivative_ratio_experiment, derivative_sequence,
@@ -178,9 +178,9 @@ class TestLocalHyperconc:
         X = rng.standard_normal((x_trials, 2))
         hv, n2 = np.zeros(x_trials), np.zeros(x_trials)
         for f in reference_samples(s, rng, inner):
-            fh, fn = zoom_hypervar_and_norm_batch(f, lam, X, R)
-            hv += fh
-            n2 += fn
+            hv += zoom_hypervar_batch(f, lam, X, R)
+            n2 += _zoom_level_weights(f.support, f.vector[None, :], lam,
+                                      X)[0].sum(axis=1)
         want = float((hv > eps * eps * n2).mean())
         assert 0.0 < want < 1.0
         assert rep["failure_fraction"] == want

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,10 +10,9 @@ from hypothesis import strategies as st
 
 from ptfprg.gaussops import mult_close
 from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.mollifier import (CheckSpec, _soft_factors,
-                              analysis_checks, analysis_checks_eval_batch,
-                              mollifier_checks, mollifier_eval_batch, sigma,
-                              soft_check)
+from ptfprg.mollifier import (Check, _soft_factors, analysis_checks,
+                              analysis_checks_eval_batch, mollifier_checks,
+                              mollifier_eval_batch, sigma)
 from ptfprg.prg import choose_params
 from ptfprg.statgrid import StatGrid
 
@@ -57,37 +58,42 @@ class TestSigma:
             assert d(-1.0) == pytest.approx(0.0, abs=1e-9)
 
 
+def soft(check, su, sv, order=4):
+    """One soft factor, from the batch kernel on length-1 arrays."""
+    return float(_soft_factors(check, [su], [sv], order)[0])
+
+
 class TestSoftCheck:
-    CHECK = CheckSpec("horizontal", 0, 0, gamma=2.0, delta=0.1)
+    CHECK = Check("horz>[0,0]", (0, 0), (0, 1), gamma=2.0, delta=0.1)
 
     def test_at_threshold_is_half(self):
-        assert soft_check(self.CHECK, 2.0 * 3.3, 3.3) == pytest.approx(0.5)
+        assert soft(self.CHECK, 2.0 * 3.3, 3.3) == pytest.approx(0.5)
 
     def test_zero_over_zero_passes(self):
-        assert soft_check(self.CHECK, 0.0, 0.0) == 1.0
+        assert soft(self.CHECK, 0.0, 0.0) == 1.0
 
     def test_positive_over_zero_passes(self):
-        assert soft_check(self.CHECK, 1e-30, 0.0) == 1.0
+        assert soft(self.CHECK, 1e-30, 0.0) == 1.0
 
     def test_zero_over_positive_fails(self):
-        assert soft_check(self.CHECK, 0.0, 1e-30) == 0.0
+        assert soft(self.CHECK, 0.0, 1e-30) == 0.0
 
     def test_saturation_exact(self):
         gamma, delta = self.CHECK.gamma, self.CHECK.delta
         sv = 0.7
-        assert soft_check(self.CHECK, math.exp(2 * delta) * gamma * sv, sv) == 1.0
-        assert soft_check(self.CHECK, math.exp(delta) * gamma * sv, sv) == 1.0
-        assert soft_check(self.CHECK, math.exp(-delta) * gamma * sv, sv) == 0.0
+        assert soft(self.CHECK, math.exp(2 * delta) * gamma * sv, sv) == 1.0
+        assert soft(self.CHECK, math.exp(delta) * gamma * sv, sv) == 1.0
+        assert soft(self.CHECK, math.exp(-delta) * gamma * sv, sv) == 0.0
 
     def test_rejects_negative_statistics(self):
         with pytest.raises(ValueError):
-            soft_check(self.CHECK, -1.0, 1.0)
+            soft(self.CHECK, -1.0, 1.0)
         with pytest.raises(ValueError):
-            soft_check(self.CHECK, 1.0, math.nan)
+            soft(self.CHECK, 1.0, math.nan)
         with pytest.raises(ValueError):
             _soft_factors(self.CHECK, [1.0, 2.0], [3.0, -1e-300], 4)
 
-    # sha256 of the factors below as the scalar soft_check (math.log per
+    # sha256 of the factors below as a scalar soft check (math.log per
     # pair) computed them before the batch kernel existed
     GOLDEN = "90d8f329ce5ecb434d58d3613d6201197d10fa6bf81b530ea55939e470f69b99"
 
@@ -109,21 +115,21 @@ class TestSoftCheck:
 
     def test_golden_factors(self):
         table = self.soft_table()
-        scalar = [soft_check(c, a, b, order=o) for o in (4, 7)
+        single = [soft(c, a, b, order=o) for o in (4, 7)
                   for c, su, sv in table
                   for a, b in zip(su.tolist(), sv.tolist())]
         batch = np.concatenate([_soft_factors(c, su, sv, o) for o in (4, 7)
                                 for c, su, sv in table])
-        for got in (np.array(scalar), batch):
+        for got in (np.array(single), batch):
             assert hashlib.sha256(got.tobytes()).hexdigest() == self.GOLDEN
         assert np.mean((batch > 0.0) & (batch < 1.0)) > 0.5
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
     def test_monotone_in_operands(self, su, sv, factor):
-        up = soft_check(self.CHECK, su * (1 + factor), sv)
-        base = soft_check(self.CHECK, su, sv)
-        down = soft_check(self.CHECK, su, sv * (1 + factor))
+        up = soft(self.CHECK, su * (1 + factor), sv)
+        base = soft(self.CHECK, su, sv)
+        down = soft(self.CHECK, su, sv * (1 + factor))
         assert up >= base - 1e-12
         assert down <= base + 1e-12
 
@@ -142,28 +148,71 @@ class TestCheckCollection:
     def test_operand_positions(self):
         params = choose_params(2, 2, 0.2)
         checks = mollifier_checks(params)
-        diag = [c for c in checks if c.kind == "diagonal"]
-        assert len(diag) == 2
-        assert diag[0].operands() == ((0, 1), (1, 0))
-        horz = [c for c in checks if c.kind == "horizontal"]
+        diag = [c for c in checks if c.label.startswith("diag")]
+        assert [(c.label, c.u, c.v) for c in diag] == [
+            ("diag[0]", (0, 1), (1, 0)), ("diag[1]", (1, 1), (2, 0))]
+        assert checks[:2] == diag
+        horz = checks[2:]
+        assert horz[0][:3] == ("horz>[0,0]", (0, 0), (0, 1))
+        assert horz[1][:3] == ("horz<[0,0]", (0, 1), (0, 0))
+        assert horz[-1][:3] == (f"horz<[2,{params.D - 2}]",
+                                (2, params.D - 1), (2, params.D - 2))
         assert all(c.delta == params.delta_horz for c in horz)
         assert all(c.gamma == pytest.approx(math.exp(-2 * params.delta_horz))
                    for c in horz)
 
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            CheckSpec("vertical", 0, 0, gamma=1.0, delta=1.0)
+
+def map_cases():
+    """(params, grid, centers): analysis-coupled grids whose lambda_hat is
+    moved down so that the diagonal soft checks put many centers inside the
+    smooth band, and a prg-coupled grid where horizontal checks fail."""
+    cases = []
+    for n, d, shift, kw in [(2, 1, 5.0, {"coupling": "analysis"}),
+                            (3, 1, 5.0, {"coupling": "analysis"}),
+                            (2, 2, 9.0, {"coupling": "analysis"}),
+                            (2, 2, 0.0, {"lambda_exp": 2.0})]:
+        params = choose_params(n, d, 0.2, **kw)
+        params = dataclasses.replace(
+            params, lambda_hat=params.lambda_hat * math.exp(-shift))
+        rng = np.random.default_rng(70 + n + d)
+        p = random_poly(n, d, rng)
+        grid = StatGrid(p, params, master_seed=n + d, mc_trials=100)
+        cases.append((p, params, grid, rng.standard_normal((30, n))))
+    return cases
 
 
 class TestMollifierEval:
+    # sha256 of mollifier_eval_batch's (value, sign, failed_checks) and
+    # analysis_checks_eval_batch's first_failure over map_cases(), recorded
+    # when a soft check was a CheckSpec with kind and swap fields
+    MAP_GOLDEN = \
+        "3a855d057cf9756cdf6f4d11b81b19036e7af5e4eb8c2313923bd07fa745fb3d"
+
+    def test_golden_map(self):
+        h = hashlib.sha256()
+        values = []
+        for p, params, grid, X in map_cases():
+            mvs = mollifier_eval_batch(p, params, X, grid=grid)
+            reps = analysis_checks_eval_batch(p, params, X, grid=grid)
+            v = np.array([mv.value for mv in mvs])
+            values.append(v)
+            h.update(v.tobytes())
+            h.update(json.dumps([[mv.sign, mv.failed_checks, r.first_failure]
+                                 for mv, r in zip(mvs, reps)]).encode())
+        assert h.hexdigest() == self.MAP_GOLDEN
+        values = np.concatenate(values)
+        assert ((values > 0.0) & (values < 1.0)).sum() >= 10
+        assert (values == 1.0).any() and (values == 0.0).any()
+
     def test_constant_poly_gives_one(self):
         params = choose_params(2, 2, 0.2, coupling="analysis")
         p = HermitePoly.constant(2, 2.5)
+        grid = StatGrid(p, params, master_seed=1)
         mv = mollifier_eval_batch(p, params, np.array([[0.2, -0.7]]),
-                                  master_seed=1)[0]
+                                  grid=grid)[0]
         assert mv.value == 1.0
         assert mv.sign == 1
-        assert mv.indicator_plus == 1.0 and mv.indicator_minus == 0.0
+        assert mv.failed_checks == []
 
     def test_value_in_unit_interval(self):
         params = choose_params(2, 2, 0.2, lambda_exp=2.0)
@@ -172,7 +221,7 @@ class TestMollifierEval:
         X = RNG.standard_normal((8, 2))
         for mv in mollifier_eval_batch(p, params, X, grid=grid):
             assert 0.0 <= mv.value <= 1.0
-            assert mv.indicator_plus + mv.indicator_minus in (0.0, mv.value)
+            assert mv.sign in (-1, 0, 1)
 
     def test_scale_invariance_power_of_two_exact(self):
         params = choose_params(2, 2, 0.2, coupling="analysis")
@@ -199,11 +248,10 @@ class TestMollifierEval:
         for b, mv in enumerate(mvs):
             value, failed = 1.0, []
             for check in mollifier_checks(params):
-                (iu, ju), (iv, jv) = check.operands()
-                f = soft_check(check, float(s[iu][b, ju]),
-                               float(s[iv][b, jv]), order=4)
+                (iu, ju), (iv, jv) = check.u, check.v
+                f = soft(check, float(s[iu][b, ju]), float(s[iv][b, jv]))
                 if f != 1.0:
-                    failed.append(check.label())
+                    failed.append(check.label)
                 value *= f
             assert (mv.value, mv.failed_checks) == (value, failed)
         assert any(mv.failed_checks for mv in mvs)
@@ -222,8 +270,9 @@ class TestMollifierEval:
     def test_signed_indicators(self):
         params = choose_params(1, 1, 0.2, coupling="analysis")
         p = HermitePoly(1, {(1,): 1.0})  # sign flips at 0
+        grid = StatGrid(p, params, master_seed=4)
         mvs = mollifier_eval_batch(p, params, np.array([[2.0], [-2.0]]),
-                                   master_seed=4)
+                                   grid=grid)
         assert [mv.sign for mv in mvs] == [1, -1]
 
 
@@ -243,8 +292,9 @@ class TestAnalysisChecks:
     def test_constant_poly_all_hold(self):
         params = choose_params(2, 2, 0.2, coupling="analysis")
         p = HermitePoly.constant(2, -1.5)
+        grid = StatGrid(p, params, master_seed=5)
         rep = analysis_checks_eval_batch(p, params, np.zeros((1, 2)),
-                                         master_seed=5)[0]
+                                         grid=grid)[0]
         assert rep.first_failure is None
         assert all(holds for _, holds in rep.results)
 
