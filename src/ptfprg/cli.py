@@ -142,6 +142,10 @@ def cmd_gen(args):
 def cmd_fool(args):
     if args.polys:
         suite = _load_polys(args.polys, args.d)
+        for e in suite:  # a constant's sign needs no generator
+            if e["d"] < 1:
+                raise SystemExit(f"polynomial {e['poly_id']} has degree 0; "
+                                 "fool needs degree >= 1")
     else:
         suite = builtin_suite(args.seed)
     knobs = {"lambda_exp": args.lambda_exp, "M": args.M,

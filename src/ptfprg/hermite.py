@@ -242,6 +242,8 @@ class HermitePoly:
         n = d["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"n = {n!r} is not an integer")
+        if n < 1:
+            raise ValueError(f"n = {n} is below 1")
         basis = d.get("basis", "hermite")
         terms = [(tuple(t["alpha"]), t["coeff"]) for t in d["terms"]]
         for alpha, c in terms:

@@ -33,6 +33,7 @@ __all__ = [
     "to_near_gaussian",
     "kwise_gaussian_batch",
     "gf_mul",
+    "word_dtype",
 ]
 
 # Lexicographically smallest low-weight irreducible polynomial of each degree,
@@ -123,6 +124,11 @@ def gf_mul(a: int, b: int, m: int) -> int:
 
 # -- expansion ---------------------------------------------------------------
 
+def word_dtype(m):
+    """The narrowest unsigned dtype of an m-bit word, m <= 64."""
+    return np.dtype(np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.uint64)
+
+
 @functools.lru_cache(maxsize=1)
 def _byte_tables(m, k, n):
     """T[j, b, v, i] = (v << 8b) * x_i^j over GF(2^m), in the word dtype.
@@ -132,7 +138,7 @@ def _byte_tables(m, k, n):
     FAST 2013).  Row v of byte b is filled by XOR doubling from the basis
     values 2^t * x_i^j, t = 8b..8b+7; rows past bit m - 1 stay zero.
     """
-    dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.uint64
+    dtype = word_dtype(m)
     basis = np.empty((k, n), dtype=np.uint64)  # x_i^j, then 2^t * x_i^j
     for i in range(n):
         p = 1
@@ -178,13 +184,16 @@ def expand_batch(coeffs: np.ndarray, spec: KWiseSpec) -> np.ndarray:
         a[...] = 0
         for j in range(spec.k):
             for b in range(T.shape[1]):
-                np.take(T[j, b], idx[j, b], axis=0, out=g, mode="clip")
-                a ^= g
+                T[j, b].take(idx[j, b], axis=0, out=g, mode="clip")
+                np.bitwise_xor(a, g, out=a)
         out[r0:r0 + rows] = a >> dtype.type(m - spec.M)
     return out
 
 
 # -- Box-Muller --------------------------------------------------------------
+
+_BM_TABLE_M = range(2, 17, 2)  # word widths whose Box-Muller factors are tabled
+
 
 def to_near_gaussian(words, M):
     """Box-Muller, cosine branch, on consecutive word pairs.
@@ -193,13 +202,41 @@ def to_near_gaussian(words, M):
     (u1, u2) maps to r cos(2 pi u2) with r = sqrt(-2 ln u1), so the output
     has half as many entries as the input.  Marginals converge to N(0,1) as
     M grows, with discretization error Theta(2^{-M/2}).
+
+    Integer words in [0, 2^M) at even M <= 16 read r and cos(2 pi u2) from
+    per-word tables that hold the formula's own values, so the bytes are
+    those of the formula.
     """
-    w = np.asarray(words, dtype=np.float64)
+    w = np.asarray(words)
     if w.ndim == 0 or w.shape[-1] % 2:
         raise ValueError("even number of words required")
+    if (w.dtype.kind in "ui" and M in _BM_TABLE_M and w.size
+            and (w.dtype.kind == "u" or w.min() >= 0) and w.max() < 1 << M):
+        r, c = _bm_tables(M)
+        return r.take(w[..., 0::2]) * c.take(w[..., 1::2])
+    r, c = _polar(w.astype(np.float64), M)
+    return r * c
+
+
+def _polar(w, M):
+    """r = sqrt(-2 ln u1) and cos(2 pi u2) of each pair of float words."""
     u = (w + 1.0) * 2.0 ** (-M)
-    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    return r * np.cos(2.0 * math.pi * u[..., 1::2])
+    return np.sqrt(-2.0 * np.log(u[..., 0::2])), np.cos(2.0 * math.pi * u[..., 1::2])
+
+
+@functools.lru_cache(maxsize=None)
+def _bm_tables(M):
+    """(r, c): r[v] and c[v] are `_polar`'s factors for the word v, for all
+    2^M words, 2^(M+4) bytes in all.
+
+    Both come from one `_polar` call on the (2^M, 2) array of pairs (v, v),
+    through the same strided slices as a (S, 2n) batch, so they hold the
+    bits numpy's float64 log and cos give the formula on this machine.
+    """
+    r, c = _polar(np.arange(1 << M, dtype=np.float64).repeat(2).reshape(-1, 2), M)
+    r, c = r.ravel(), c.ravel()
+    r.flags.writeable = c.flags.writeable = False  # shared through the cache
+    return r, c
 
 
 def kwise_gaussian_batch(coeffs: np.ndarray, spec: KWiseSpec) -> np.ndarray:

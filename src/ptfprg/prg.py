@@ -131,12 +131,25 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
 
 
 def _block_coeffs(params: PrgParams, master_seed, t, count):
-    """Coefficient words for block t: (count, 2*k_indep) uints below 2^m."""
+    """Coefficient words for block t: (count, 2*k_indep) uints below 2^m,
+    equal to `substream(master_seed, "block", t).integers(0, 2**m,
+    (count, 2*k_indep), kwise.word_dtype(m))`, read from the stream's raw
+    64-bit draws."""
     wspec = kwise.gaussian_word_spec(params.block_spec())
     m = kwise.field_width(wspec)
-    dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.uint64
-    gen = substream(master_seed, "block", t)
-    return gen.integers(0, 1 << m, size=(count, wspec.k), dtype=dtype)
+    dtype = kwise.word_dtype(m)
+    bits = 8 * dtype.itemsize
+    size = count * wspec.k
+    raw = substream(master_seed, "block", t).bit_generator.random_raw(
+        -(-size * bits // 64))
+    # integers() over a range of 2^m keeps the top m bits of each word and
+    # never rejects (Lemire's multiply-shift), taking a 64-bit draw's narrower
+    # words low bits first, as this little-endian view does on any host
+    words = raw.astype("<u8", copy=False).view(dtype.newbyteorder("<"))
+    words = words[:size].reshape(count, wspec.k)
+    if m < bits:
+        words >>= dtype.type(bits - m)
+    return words
 
 
 def generate_batch(params: PrgParams, master_seed, count,

@@ -79,6 +79,20 @@ class TestFool:
         assert r.returncode != 0
         assert "00-file" in r.stderr
 
+    @pytest.mark.parametrize("constant", [
+        {"n": 2, "terms": [{"alpha": [0, 0], "coeff": 1.5}]},
+        {"n": 2, "terms": []},
+    ])
+    def test_degree_zero_entry_one_line_error(self, tmp_path, constant):
+        good = {"n": 2, "terms": [{"alpha": [1, 0], "coeff": 1.0}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([good, constant]))
+        r = run_cli(["fool", "--polys", str(path), "--d", "1",
+                     "--samples", "100"])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == ("polynomial 01-file has degree 0; fool needs "
+                            "degree >= 1\n")
+
     def test_parse_error_names_entry(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"n": 1, "basis": "weird", "terms": []}]))
@@ -193,6 +207,17 @@ class TestPolyFileMatchesGrid:
                      "--x-trials", "2", "--trials", "50"])
         assert r.returncode == 1 and r.stdout == ""
         assert r.stderr == message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize("cmd", ["fool", "mollifier", "stats"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_is_one_line_error(self, tmp_path, cmd, n):
+        path = tmp_path / "polys.json"
+        path.write_text(json.dumps([{"n": n, "terms": []}]))
+        flags = (["--samples", "100"] if cmd == "fool" else
+                 ["--n", "2", "--d", "2", "--x-trials", "2", "--trials", "50"])
+        r = run_cli([cmd, "--polys", str(path), *flags])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == f"polynomial #0: n = {n} is below 1\n"
 
     def test_matching_file_runs(self, tmp_path):
         path = tmp_path / "polys.json"

@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,59 @@ class TestBoxMuller:
 
         d8, d16, d24 = ks(8), ks(16), ks(24)
         assert d8 > d16 > d24
+
+
+class TestBoxMullerTables:
+    """Integer words at even M <= 16 read r and cos(2 pi u2) from tables;
+    the result must be the formula's, which float words still run."""
+
+    @staticmethod
+    def layouts(M, dtype):
+        """(S, 8) words holding each M-bit value once at an even position and
+        once at an odd one: C-ordered, a view with an inner stride of two
+        words, and Fortran-ordered."""
+        v = np.arange(1 << M)
+        pairs = np.stack([v, np.random.default_rng(M).permutation(v)], axis=-1)
+        words = pairs.reshape(-1, 8).astype(dtype)
+        wide = np.zeros((words.shape[0], 16), dtype=dtype)
+        wide[:, ::2] = words
+        return words, wide[:, ::2], np.asfortranarray(words)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint64, np.int64])
+    @pytest.mark.parametrize("M", range(2, 17, 2))
+    def test_tables_equal_formula(self, M, dtype):
+        words, strided, fortran = self.layouts(M, dtype)
+        want = to_near_gaussian(words.astype(np.float64), M)
+        kwise._bm_tables.cache_clear()
+        for w in (words, strided, fortran):
+            assert np.array_equal(to_near_gaussian(w, M), want)
+            assert np.array_equal(
+                to_near_gaussian(w.astype(np.float64), M), want)
+        assert kwise._bm_tables.cache_info().currsize == 1
+
+    def test_float_and_wide_words_take_formula(self):
+        kwise._bm_tables.cache_clear()
+        to_near_gaussian(np.arange(16.0), 16)
+        to_near_gaussian(np.arange(16), 18)
+        to_near_gaussian(np.arange(16), 15)
+        assert kwise._bm_tables.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("words", [[1 << 8, 3], [-1, 3], [5, 1 << 8]])
+    def test_out_of_range_words_take_formula(self, words):
+        w = np.array(words, dtype=np.int64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = to_near_gaussian(w, 8)
+            want = to_near_gaussian(w.astype(np.float64), 8)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_import_builds_no_table(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import ptfprg.cli, ptfprg.kwise as kwise\n"
+                  "print(kwise._bm_tables.cache_info().currsize)\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert r.returncode == 0, r.stderr[-2000:]
+        assert r.stdout == "0\n"
 
 
 class TestGaussianVector:

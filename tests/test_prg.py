@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from scipy.stats import kstest
 from ptfprg import kwise
 from ptfprg.battery import sign_expectation
 from ptfprg.hermite import HermitePoly, random_poly
-from ptfprg.prg import M_CAP, choose_params, generate_batch
+from ptfprg.prg import M_CAP, _block_coeffs, choose_params, generate_batch
 from ptfprg.seeding import substream
 
 
@@ -351,6 +352,27 @@ class TestBlockStacking:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestCoefficientDraw:
+    """`_block_coeffs` reads the block stream's raw 64-bit draws; it must give
+    the words `Generator.integers` draws from the same stream."""
+
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_matches_integers(self, m):
+        dtype = np.uint16 if m <= 16 else np.uint32 if m <= 32 else np.uint64
+        base = choose_params(1, 1, 0.5)  # n = 1: the field width m is M
+        # (count, k_indep): 2 count k_indep words, some of them not a whole
+        # number of 64-bit draws at every word dtype
+        for count, k_indep in [(1, 32), (3, 96), (7, 3), (500, 96), (1, 1),
+                               (3, 3)]:
+            p = dataclasses.replace(base, k_indep=k_indep, M=m)
+            got = _block_coeffs(p, 9, 4, count)
+            want = substream(9, "block", 4).integers(
+                0, 1 << m, size=(count, 2 * k_indep), dtype=dtype)
+            assert got.dtype == want.dtype, (count, k_indep)
+            assert np.array_equal(got, want), (count, k_indep)
+
 
 class TestFoolingOracles:
     def test_halfspace_through_origin_is_balanced(self):
