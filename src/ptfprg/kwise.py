@@ -203,19 +203,36 @@ def to_near_gaussian(words, M):
     has half as many entries as the input.  Marginals converge to N(0,1) as
     M grows, with discretization error Theta(2^{-M/2}).
 
-    Integer words in [0, 2^M) at even M <= 16 read r and cos(2 pi u2) from
-    per-word tables that hold the formula's own values, so the bytes are
-    those of the formula.
+    Integer words at even M <= 16 read r and cos(2 pi u2) from per-word
+    tables that hold the formula's own values, so the bytes are those of the
+    formula.  A word outside [0, 2^M), integer or float, is a ValueError.
     """
     w = np.asarray(words)
     if w.ndim == 0 or w.shape[-1] % 2:
         raise ValueError("even number of words required")
-    if (w.dtype.kind in "ui" and M in _BM_TABLE_M and w.size
-            and (w.dtype.kind == "u" or w.min() >= 0) and w.max() < 1 << M):
-        r, c = _bm_tables(M)
-        return r.take(w[..., 0::2]) * c.take(w[..., 1::2])
-    r, c = _polar(w.astype(np.float64), M)
+    if w.dtype.kind in "ui":
+        if w.size and ((w.dtype.kind == "i" and w.min() < 0)
+                       or int(w.max()) >= 1 << M):
+            raise _word_range_error(w, M)
+        if M in _BM_TABLE_M and w.size:
+            r, c = _bm_tables(M)
+            return r.take(w[..., 0::2]) * c.take(w[..., 1::2])
+        u = w.astype(np.float64)
+    else:
+        u = w.astype(np.float64)
+        if not ((u >= 0.0) & (u < 2.0 ** M)).all():
+            raise _word_range_error(u, M)
+    r, c = _polar(u, M)
     return r * c
+
+
+def _word_range_error(w, M):
+    """The ValueError naming the first word of w outside [0, 2^M)."""
+    flat = w.ravel()
+    top = 1 << M if flat.dtype.kind in "ui" else 2.0 ** M
+    k = int(np.flatnonzero(~((flat >= 0) & (flat < top)))[0])
+    return ValueError(f"word {flat[k].item()!r} at flat index {k} is outside "
+                      f"[0, 2^{M})")
 
 
 def _polar(w, M):

@@ -8,8 +8,10 @@ ratio conventions 0/0 -> +inf and positive/0 -> +inf (check passes) and
 0/positive -> -inf (check fails).  The mollifier is the product of all soft
 checks; the analysis checks are the hard, shifted-by-one counterparts with
 a fixed evaluation order (bottom row first, then upward with the connecting
-diagonal check before each row).  Both are evaluated one check at a time
-over the whole batch of centers.
+diagonal check before each row).  Both are evaluated over the whole batch of
+centers a group of checks at a time: the soft checks in one call per group
+sharing (gamma, delta) (the diagonals, then each row's forward and reverse
+horizontals), the hard horizontals in one call per row.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class Check(NamedTuple):
 
 def _soft_factors(check: Check, su, sv, order) -> np.ndarray:
     """sigma(delta^{-1} ln(su / (gamma sv))) in [0, 1] for arrays of
-    statistics: exactly 1 when su >= e^delta gamma sv and exactly 0 when
-    su <= e^{-delta} gamma sv.
+    statistics of any one shape, with the gamma and delta of `check`: exactly
+    1 when su >= e^delta gamma sv and exactly 0 when su <= e^{-delta} gamma sv.
 
     Elementwise the same arithmetic, bit for bit, as a scalar evaluation with
     math.log: the ratio decides the saturated factors, and only ratios near
@@ -69,8 +71,8 @@ def _soft_factors(check: Check, su, sv, order) -> np.ndarray:
     lo = check.gamma * math.exp(-check.delta) * (1.0 - 1e-9)
     hi = check.gamma * math.exp(check.delta) * (1.0 + 1e-9)
     out = ((q >= hi) | (sv == 0.0)).astype(float)  # 0/0 and pos/0 pass
-    near = np.flatnonzero((q > lo) & (q < hi) & (sv > 0.0))
-    if len(near):
+    near = np.nonzero((q > lo) & (q < hi) & (sv > 0.0))
+    if len(near[0]):
         t = np.array([math.log(v) for v in q[near].tolist()])
         arg = (t - math.log(check.gamma)) / check.delta
         band = (arg > -1.0) & (arg < 1.0)
@@ -110,34 +112,58 @@ class MollifierValue:
 
 
 def _stat_table(grid: StatGrid, X, max_col):
-    """values[i][b, j] of s_{i,j} for j = 0..max_col over the batch."""
+    """values[i][b, j] of s_{i,j} for j = 0..max_col over the batch, read
+    without stderrs."""
     cols = list(range(max_col + 1))
-    vals = []
-    for i in range(grid.d + 1):
-        v, _, _ = grid.row_batch(i, X, cols)
-        vals.append(v)
-    return vals
+    return [grid._read_row(i, X, cols, errors=False)[0]
+            for i in range(grid.d + 1)]
+
+
+def _check_grid(p: HermitePoly, params, grid: StatGrid):
+    """ValueError unless `grid` holds the statistics of p at params."""
+    if grid.p != p:
+        raise ValueError("grid was built for another polynomial")
+    if grid.params != params:
+        raise ValueError("grid was built for another parameter set")
 
 
 def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid) -> list:
     """Product of all soft checks, with the sign of p, per point.
 
     Statistics come from the grid (exact rows 0-1, shared Monte Carlo caches
-    above), one table for the whole batch; each soft check is evaluated once
-    over the batch and the factors are multiplied in check order.  The
-    smooth-step order is max(d, 4).
+    above), one table for the whole batch.  Checks sharing (gamma, delta) are
+    evaluated in one call over the batch: the d diagonals, then per row the
+    D-1 checks s_{i,j} >= gamma s_{i,j+1} and the D-1 reverse ones.  The
+    factors are multiplied in check order.  The smooth-step order is
+    max(d, 4).
     """
     X = _check_centers(X, p.n)
-    vals = _stat_table(grid, X, max_col=max(params.D - 1, 1))
-    order = max(params.d, 4)
+    _check_grid(p, params, grid)
+    d, D = params.d, params.D
+    vals = _stat_table(grid, X, max_col=max(D - 1, 1))
+    order = max(d, 4)
     checks = mollifier_checks(params)
     values = np.ones(X.shape[0])
     failed = np.zeros((X.shape[0], len(checks)), dtype=bool)
-    for k, check in enumerate(checks):
-        (iu, ju), (iv, jv) = check.u, check.v
-        factor = _soft_factors(check, vals[iu][:, ju], vals[iv][:, jv], order)
-        failed[:, k] = factor != 1.0
-        values = values * factor
+    if d:
+        su = np.stack([vals[i][:, 1] for i in range(d)], axis=1)
+        sv = np.stack([vals[i + 1][:, 0] for i in range(d)], axis=1)
+        diag = _soft_factors(checks[0], su, sv, order)
+        failed[:, :d] = diag != 1.0
+        for f in diag.T:
+            values *= f
+    if D > 1:
+        # every horizontal check has the gamma and delta of checks[d]; row
+        # i's sit at d + 2(D-1)i + 2j (forward) and one after (reverse)
+        for i, v in enumerate(vals):
+            fwd = _soft_factors(checks[d], v[:, :D - 1], v[:, 1:D], order)
+            rev = _soft_factors(checks[d], v[:, 1:D], v[:, :D - 1], order)
+            k = d + 2 * (D - 1) * i
+            failed[:, k:k + 2 * (D - 1):2] = fwd != 1.0
+            failed[:, k + 1:k + 2 * (D - 1):2] = rev != 1.0
+            for f, r in zip(fwd.T, rev.T):
+                values *= f
+                values *= r
     failed_checks = [[] for _ in range(X.shape[0])]
     rows, cols = np.nonzero(failed)
     for b, k in zip(rows.tolist(), cols.tolist()):
@@ -180,22 +206,30 @@ def analysis_checks_eval_batch(p: HermitePoly, params, X,
                                grid: StatGrid) -> list:
     """Every hard analysis check per point, with the first failure.
 
-    Each check is evaluated once over the whole batch.  Monte Carlo rows are
-    read at their point estimates; rows 0-1 are exact.
+    The horizontal checks of a row are one closeness test over the batch,
+    the diagonal checks one comparison; the results are then gathered in
+    evaluation order.  Monte Carlo rows are read at their point estimates;
+    rows 0-1 are exact.
     """
     X = _check_centers(X, p.n)
-    vals = _stat_table(grid, X, max_col=params.D)
-    labels, holds = [], []
+    _check_grid(p, params, grid)
+    d, D = params.d, params.D
+    vals = _stat_table(grid, X, max_col=D)
+    # column i (D-1) + j-1 holds horizontal (i, j), (d+1)(D-1) + i diagonal i
+    table = np.column_stack(
+        [mult_close(v[:, 1:D], v[:, 2:D + 1], params.delta_anal)
+         for v in vals]
+        + [vals[i + 1][:, 1] <= 100.0 * params.lambda_hat * vals[i][:, 2]
+           for i in range(d)])
+    labels, index = [], []
     for kind, i, j in analysis_checks(params):
         if kind == "horizontal":
             labels.append(f"horz[{i},{j}]")
-            holds.append(mult_close(vals[i][:, j], vals[i][:, j + 1],
-                                    params.delta_anal))
+            index.append(i * (D - 1) + j - 1)
         else:
             labels.append(f"diag[{i}]")
-            holds.append(vals[i + 1][:, 1]
-                         <= 100.0 * params.lambda_hat * vals[i][:, 2])
-    holds = np.array(holds).T
+            index.append((d + 1) * (D - 1) + i)
+    holds = table[:, index]
     first = np.where(holds.all(axis=1), -1, (~holds).argmax(axis=1))
     return [AnalysisCheckReport(labels, row, labels[f] if f >= 0 else None)
             for row, f in zip(holds, first.tolist())]

@@ -190,13 +190,21 @@ class StatGrid:
         for j in cols:
             self._check_indices(i, j)
         X = _check_centers(X, self.p.n)
+        mean, err = self._read_row(i, X, cols, errors=True)
+        return mean, err, i <= 1
+
+    def _read_row(self, i, X, cols, errors):
+        """(mean, err) of row_batch for checked indices and centers.  Unless
+        `errors`, err is None and the level Gram matrices are skipped; the
+        values are the same bits either way."""
         deg, Q = self._row_coeffs(i)
         basis = _basis(self.p.n, deg)
         bounds = np.searchsorted(basis.sum(axis=1), np.arange(deg + 2))
         powers = [self.column_rho(j) ** np.arange(deg + 1) for j in cols]
         K = Q.shape[0]
         mean = np.zeros((X.shape[0], len(cols)))
-        err = np.zeros_like(mean)
+        err = np.zeros_like(mean) if errors else None
+        mc_err = errors and K > 1
         step = max(1, BLOCK_ELEMS // ((deg + 1) * K))
         for b0 in range(0, X.shape[0], step):
             H = _design(X[b0:b0 + step], basis)
@@ -204,14 +212,14 @@ class StatGrid:
             M = np.stack([H[:, lo:hi] @ Q[:, lo:hi].T
                           for lo, hi in zip(bounds[:-1], bounds[1:])])
             S1 = M.sum(axis=2)
-            S2 = np.einsum("lbt,mbt->lmb", M, M) if K > 1 else None
+            S2 = np.einsum("lbt,mbt->lmb", M, M) if mc_err else None
             for c, pw in enumerate(powers):
                 m = pw @ S1 / K
                 mean[b0:b0 + step, c] = m
-                if K > 1:
+                if mc_err:
                     var = np.maximum(pw @ (pw @ S2) / K - m**2, 0.0)
                     err[b0:b0 + step, c] = np.sqrt(var / K)
-        return mean, err, i <= 1
+        return mean, err
 
 
 def stat_identities_check(p: HermitePoly, params, i, j, x, trials=2000,

@@ -241,21 +241,25 @@ class TestBoxMuller:
 
         def ks(M):
             n = 1 << M
-            u1 = (np.arange(n, dtype=np.float64) + 1.0) / n
-            r = np.sqrt(-2.0 * np.log(u1))  # r[n-1] = 0
             out = np.zeros_like(tgrid)
-            for ti, t in enumerate(tgrid):
-                c = np.clip(np.divide(t, r, out=np.full_like(r, np.inf),
-                                      where=r > 0), -1.0, 1.0)
-                # count u2 = (j+1)/n, j=0..n-1 with cos(2 pi u2) <= c:
-                # angle in [a, 2 pi - a], a = arccos(c)
-                a = np.arccos(c) / (2 * math.pi)
-                hi = np.floor((1 - a) * n - 1.0)
-                lo = np.ceil(a * n - 1.0)
-                cnt = np.maximum(hi - lo + 1.0, 0.0)
-                cnt = np.where(r == 0, float(t >= 0.0) * n, cnt)
-                out[ti] = cnt.sum() / (n * n)
-            return np.max(np.abs(out - ndtr(tgrid)))
+            # u1 levels in chunks of 2^16; the counts are integers below
+            # 2^53, so their float sum is exact in any order
+            for v0 in range(0, n, 1 << 16):
+                u1 = (np.arange(v0, min(v0 + (1 << 16), n),
+                                dtype=np.float64) + 1.0) / n
+                r = np.sqrt(-2.0 * np.log(u1))  # r = 0 at the last level
+                for ti, t in enumerate(tgrid):
+                    c = np.clip(np.divide(t, r, out=np.full_like(r, np.inf),
+                                          where=r > 0), -1.0, 1.0)
+                    # count u2 = (j+1)/n, j=0..n-1 with cos(2 pi u2) <= c:
+                    # angle in [a, 2 pi - a], a = arccos(c)
+                    a = np.arccos(c) / (2 * math.pi)
+                    hi = np.floor((1 - a) * n - 1.0)
+                    lo = np.ceil(a * n - 1.0)
+                    cnt = np.maximum(hi - lo + 1.0, 0.0)
+                    cnt = np.where(r == 0, float(t >= 0.0) * n, cnt)
+                    out[ti] += cnt.sum()
+            return np.max(np.abs(out / (n * n) - ndtr(tgrid)))
 
         d8, d16, d24 = ks(8), ks(16), ks(24)
         assert d8 > d16 > d24
@@ -297,12 +301,12 @@ class TestBoxMullerTables:
         assert kwise._bm_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize("words", [[1 << 8, 3], [-1, 3], [5, 1 << 8]])
-    def test_out_of_range_words_take_formula(self, words):
-        w = np.array(words, dtype=np.int64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            got = to_near_gaussian(w, 8)
-            want = to_near_gaussian(w.astype(np.float64), 8)
-        assert np.array_equal(got, want, equal_nan=True)
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_out_of_range_words_raise(self, words, dtype):
+        bad = next(v for v in words if not 0 <= v < 1 << 8)
+        with pytest.raises(ValueError, match=rf"word {bad}(\.0)? at flat "
+                           rf"index {words.index(bad)} is outside \[0, 2\^8\)"):
+            to_near_gaussian(np.array(words, dtype=dtype), 8)
 
     def test_import_builds_no_table(self):
         src = Path(__file__).resolve().parent.parent / "src"

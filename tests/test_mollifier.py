@@ -124,6 +124,27 @@ class TestSoftCheck:
             assert hashlib.sha256(got.tobytes()).hexdigest() == self.GOLDEN
         assert np.mean((batch > 0.0) & (batch < 1.0)) > 0.5
 
+    def test_block_matches_columns(self):
+        # the mollifier's grouped call: a (B, C) block of adjacent-column
+        # views gives each column's factors bit for bit, 0/0, pos/0 and
+        # 0/pos entries included
+        check, rng = self.CHECK, np.random.default_rng(60)
+        steps = check.gamma * np.exp(check.delta * rng.uniform(-1.5, 1.5,
+                                                               (40, 6)))
+        v = np.cumprod(np.column_stack([10.0 ** rng.uniform(-3, 3, 40),
+                                        1.0 / steps]), axis=1)
+        v[0, 2:4] = 0.0  # pos/0, 0/0, then 0/pos along row 0
+        v[1, :] = 0.0
+        for su, sv in ((v[:, :-1], v[:, 1:]), (v[:, 1:], v[:, :-1])):
+            block = _soft_factors(check, su, sv, 4)
+            cols = np.column_stack([_soft_factors(check, su[:, c], sv[:, c], 4)
+                                    for c in range(su.shape[1])])
+            assert block.shape == su.shape
+            assert block.tobytes() == cols.tobytes()
+        fwd = _soft_factors(check, v[:, :-1], v[:, 1:], 4)
+        assert list(fwd[0, 1:4]) == [1.0, 1.0, 0.0]
+        assert ((fwd > 0.0) & (fwd < 1.0)).sum() >= 50
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
     def test_monotone_in_operands(self, su, sv, factor):
@@ -267,6 +288,30 @@ class TestMollifierEval:
             with pytest.raises(ValueError, match="centers"):
                 fn(p, params, X, grid=grid)
 
+    @pytest.mark.parametrize("fn", [mollifier_eval_batch,
+                                    analysis_checks_eval_batch])
+    def test_grid_of_other_poly_or_params_raises(self, fn):
+        params = choose_params(2, 2, 0.2, lambda_exp=2.0)
+        p = random_poly(2, 2, np.random.default_rng(56))
+        grid = StatGrid(p, params, master_seed=12, mc_trials=20)
+        X = np.zeros((3, 2))
+        others = [random_poly(2, 2, np.random.default_rng(57)), p.scale(2.0),
+                  HermitePoly(2, {(1, 0): 1.0})]
+        for q in others:
+            with pytest.raises(ValueError, match="another polynomial"):
+                fn(q, params, X, grid=grid)
+        q3 = random_poly(3, 2, np.random.default_rng(58))
+        with pytest.raises(ValueError, match="another polynomial"):
+            fn(q3, params, np.zeros((3, 3)), grid=grid)
+        for other in (choose_params(2, 2, 0.2, coupling="analysis"),
+                      dataclasses.replace(params, delta_anal=0.5,
+                                          delta_horz=0.5)):
+            with pytest.raises(ValueError, match="another parameter set"):
+                fn(p, other, X, grid=grid)
+        # equal copies of both are the grid's own
+        same = HermitePoly(2, dict(p.coeffs))
+        assert len(fn(same, dataclasses.replace(params), X, grid=grid)) == 3
+
     def test_signed_indicators(self):
         params = choose_params(1, 1, 0.2, coupling="analysis")
         p = HermitePoly(1, {(1,): 1.0})  # sign flips at 0
@@ -337,6 +382,34 @@ class TestAnalysisChecks:
                         s[i + 1][b, 1] <= 100 * params.lambda_hat * s[i][b, 2])))
             assert rep.results == want
         assert any(r.first_failure is not None for r in reps)
+
+    def test_row_closeness_matches_per_cell(self):
+        # one closeness call per row gives each (i, j) check's result; rows
+        # 2-3 of the degree-1 polynomial read 0 everywhere (0/0 holds)
+        cases = [case[:3] for case in map_cases()]
+        params = choose_params(2, 3, 0.2, lambda_exp=2.0)
+        p = random_poly(2, 1, np.random.default_rng(59))
+        cases.append((p, params, StatGrid(p, params, master_seed=13,
+                                          mc_trials=50)))
+        seen = set()
+        for p, params, grid in cases:
+            X = np.random.default_rng(61).standard_normal((25, p.n))
+            D, nu = params.D, params.delta_anal
+            cols = list(range(D + 1))
+            s = [grid.row_batch(i, X, cols)[0] for i in range(params.d + 1)]
+            rows = [mult_close(v[:, 1:D], v[:, 2:D + 1], nu) for v in s]
+            holds = np.array([[h for _, h in rep.results] for rep in
+                              analysis_checks_eval_batch(p, params, X,
+                                                         grid=grid)])
+            for k, (kind, i, j) in enumerate(analysis_checks(params)):
+                if kind == "horizontal":
+                    cell = mult_close(s[i][:, j], s[i][:, j + 1], nu)
+                    assert np.array_equal(rows[i][:, j - 1], cell)
+                    assert np.array_equal(holds[:, k], cell)
+                    seen.update(cell.tolist())
+        assert seen == {True, False}
+        # the last case: rows 2-3 of the degree-1 polynomial are all 0
+        assert (s[3] == 0.0).all() and rows[3].all()
 
     def test_theorem_regime_failure_rate(self):
         # at the coupled parameters the per-check failure frequency stays

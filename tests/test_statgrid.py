@@ -228,6 +228,23 @@ class TestBatchedRows:
                 assert np.array_equal(one_vals[:, 0], vals[:, c]), (i, j)
                 assert np.array_equal(one_errs[:, 0], errs[:, c]), (i, j)
 
+    def test_value_only_read_matches_row_batch(self):
+        # the mollifier's read skips the stderrs and keeps row_batch's bits,
+        # exact and Monte Carlo rows, on full and partial column lists
+        params = choose_params(3, 3, 0.2, lambda_exp=1.0, M=16)
+        p = random_poly(3, 3, np.random.default_rng(15))
+        grid = StatGrid(p, params, master_seed=5, mc_trials=2000)
+        X = np.random.default_rng(16).standard_normal((150, 3))
+        for cols in (list(range(params.D + 1)), [0, 2, params.D], [1]):
+            for i in range(params.d + 1):
+                vals, _, _ = grid.row_batch(i, X, cols)
+                got, err = grid._read_row(i, X, cols, errors=False)
+                assert err is None
+                assert np.array_equal(got, vals), (i, cols)
+        for i in (2, 3):  # both Monte Carlo rows span several blocks
+            deg, Q = grid._row_coeffs(i)
+            assert len(X) > hermite.BLOCK_ELEMS // ((deg + 1) * len(Q))
+
     def test_cold_row_build_memory_bounded(self):
         # zoom and linearization tables plus the sample blocks stay small;
         # the squares themselves are 2000 x 210 coefficients (3.4 MB)
