@@ -1,6 +1,11 @@
 """Named verification checks: exact identities, oracle inequalities, and the
 desk-scale statistical experiments, plus the built-in fooling suite.
 
+The statistical oracles need no scipy at import: the normal CDF is a port of
+the Cephes code scipy.special.ndtr runs, with the same bits, and the
+chi-square median is a literal.  Only the KS p-value's Smirnov band imports
+scipy.special, when a run reaches it.
+
 Every check is a function config -> report dict with a boolean "pass"; all
 randomness is derived from the config seed through fixed substream paths, so
 a battery run is reproducible byte-for-byte.  Statistical gates are uniformly
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, smirnov
 
 from . import verify
 from .gaussops import (_pairs, _zoom_matrix, amplified_derivative,
@@ -109,7 +113,8 @@ def builtin_suite(seed=0):
 
     # sign oracle case: h_1^2 - median(chi^2_1) has E[sign] = 0 exactly;
     # the chi^2_1 median is 2 P^{-1}(1/2, 1/2), P the regularized gamma
-    c = 2.0 * float(gammaincinv(0.5, 0.5))
+    # (scipy's chi2.ppf(0.5, 1) and 2 * gammaincinv(0.5, 0.5), to the bit)
+    c = 0.454936423119572
     add("chisq-n2d2", 2, 2, HermitePoly.basis(2, (2, 0), math.sqrt(2.0))
         + HermitePoly.constant(2, 1.0 - c))
     return entries
@@ -597,7 +602,7 @@ def check_carbery_wright(cfg):
     lin = HermitePoly.from_monomial_basis(
         2, [((1, 0), 0.8), ((0, 1), 0.6), ((0, 0), 0.25)])
     thr = (0.5 / (2.0 * 1.0)) ** 1 * math.sqrt(lin.sq2norm())
-    exact = float(ndtr((thr - 0.25)) - ndtr((-thr - 0.25)))
+    exact = _ndtr(thr - 0.25) - _ndtr(-thr - 0.25)
     rep_lin = carbery_wright_check(lin, 0.5, trials=trials,
                                    master_seed=cfg.seed + 1)
     lin_frac = rep_lin["fractions"][2.0]
@@ -797,6 +802,83 @@ _PI2, _PI4, _PI6 = np.pi ** 2, np.pi ** 4, np.pi ** 6
 _SQRT2PI = np.sqrt(2 * np.pi)
 
 
+# Cephes ndtr/erf/erfc (S. L. Moshier), the code behind scipy.special.ndtr:
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1, erfc(x) = e^{-x^2} P(x) / Q(x)
+# for 1 <= x < 8 and e^{-x^2} R(x) / S(x) from 8 on, 0 once e^{-x^2}
+# underflows.  The leading 1 of Q, S and U is implied (p1evl).
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 7.07106781186547524401E-1
+
+
+def _polevl(x, coef):
+    r = coef[0]
+    for c in coef[1:]:
+        r = r * x + c
+    return r
+
+
+def _p1evl(x, coef):
+    r = x + coef[0]
+    for c in coef[1:]:
+        r = r * x + c
+    return r
+
+
+def _ndtr(a):
+    """Standard normal CDF: a float for a scalar a, else an array.
+
+    Cephes ndtr in its evaluation order, equal to scipy.special.ndtr bit for
+    bit.  The polynomials run as array operations; e^{-x^2} comes from
+    math.exp (libm) one element at a time, since numpy's vectorised exp
+    may differ from libm in the last bit.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT1_2
+    z = np.abs(x)
+    out = np.empty_like(x)
+    near = z < 1.0
+    xn = x[near]
+    out[near] = 0.5 + 0.5 * (xn * _polevl(xn * xn, _ERF_T)
+                             / _p1evl(xn * xn, _ERF_U))
+    far = ~near
+    zf = z[far]
+    erfc = np.zeros_like(zf)
+    live = ~(-zf * zf < -_MAXLOG)  # nan stays live and propagates
+    zl = zf[live]
+    e = np.array([math.exp(v) for v in (-zl * zl).tolist()])
+    p, q = np.empty_like(zl), np.empty_like(zl)
+    mid = zl < 8.0
+    p[mid] = _polevl(zl[mid], _ERFC_P)
+    q[mid] = _p1evl(zl[mid], _ERFC_Q)
+    p[~mid] = _polevl(zl[~mid], _ERFC_R)
+    q[~mid] = _p1evl(zl[~mid], _ERFC_S)
+    erfc[live] = e * p / q
+    half = 0.5 * erfc
+    out[far] = np.where(x[far] > 0, 1.0 - half, half)
+    return out.reshape(a.shape) if a.ndim else float(out[0])
+
+
 def _kstwo_sf(n, d):
     """P(D_n >= d) for the two-sided one-sample KS statistic, n >= 10^4.
 
@@ -813,6 +895,7 @@ def _kstwo_sf(n, d):
     if nd2 >= 370.0:
         return 0.0
     if nd2 >= 2.2:
+        from scipy.special import smirnov  # only this band needs scipy
         return float(np.clip(2 * smirnov(n, d), 0.0, 1.0))
     z = np.sqrt(n) * d
     z2 = z ** 2
@@ -851,7 +934,7 @@ def _kstwo_sf(n, d):
 def _ks_norm(x):
     """(D, p): two-sided one-sample KS test of x against N(0, 1)."""
     n = len(x)
-    cdf = ndtr(np.sort(x))
+    cdf = _ndtr(np.sort(x))
     d = max((np.arange(1.0, n + 1) / n - cdf).max(),
             (cdf - np.arange(0.0, n) / n).max())
     return float(d), _kstwo_sf(n, d)

@@ -2,7 +2,9 @@
 
 The smooth step sigma is the normalized incomplete integral of (1-u^2)^N on
 [-1, 1] (a regularized beta function), which is 0 below -1, 1 above +1, and
-has its first N derivatives vanishing at both ends.  A soft check compares
+has its first N derivatives vanishing at both ends.  For integer N it is a
+finite binomial sum, computed here as the one scipy.special.betainc runs
+(Boost's ibeta), with the same bits and no scipy import.  A soft check compares
 two grid statistics through sigma(delta^{-1} ln(s_u / (gamma s_v))), with the
 ratio conventions 0/0 -> +inf and positive/0 -> +inf (check passes) and
 0/positive -> -inf (check fails).  The mollifier is the product of all soft
@@ -16,12 +18,13 @@ horizontals), the hard horizontals in one call per row.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .gaussops import mult_close
 from .hermite import HermitePoly
@@ -34,10 +37,74 @@ __all__ = ["sigma", "Check", "mollifier_checks", "mollifier_eval_batch",
 
 def sigma(t, order):
     """sigma(t) = int_{-1}^{t} (1-u^2)^order du / int_{-1}^{1}, clamped: a
-    float for a scalar t, else an array."""
-    u = np.clip((np.asarray(t, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
-    v = betainc(order + 1, order + 1, u)
-    return float(v) if v.ndim == 0 else v
+    float for a scalar t, else an array.
+
+    The regularized beta I_u(order+1, order+1) at u = (t+1)/2, equal to
+    scipy.special.betainc bit for bit for order <= 38 (where Boost's ibeta
+    takes the same finite sum).  ValueError for a nan t or an order that is
+    not an int >= 0.
+    """
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or order < 0):
+        raise ValueError(f"sigma order must be an int >= 0 (got {order!r})")
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError("sigma of nan")
+    u = np.clip((t + 1.0) / 2.0, 0.0, 1.0)
+    a = int(order) + 1
+    v = np.array([_ibeta_sym(a, x) for x in u.ravel().tolist()])
+    return v.reshape(u.shape) if u.ndim else float(v[0])
+
+
+def _ibeta_sym(a, x):
+    """I_x(a, a) for an integer a >= 1 and 0 <= x <= 1, in the order of
+    Boost's ibeta: for 1 - x != 1 its finite binomial sum (binomial_ccdf)
+    with libm pow through math.pow.  Where 1 - x rounds to 1, Boost takes
+    another branch, which is left to scipy (x = 2^-54 is the only such
+    value sigma meets, at t = nextafter(-1, 0))."""
+    if x == 0.0 or x == 1.0:
+        return x
+    y = 1.0 - x
+    if y == 1.0:
+        from scipy.special import betainc  # the one case needing scipy
+        return float(betainc(a, a, x))
+    invert = (a + a) * y - a < 0.0  # Boost's lambda < 0: x > 1/2
+    if invert:
+        x, y = y, x
+    n, k = 2 * a - 1, a - 1  # I_x(a, a) = P(Bin(n, x) > k)
+    r = math.pow(x, n)
+    if r > sys.float_info.min:
+        term = r
+        for i in range(n - 1, k, -1):
+            term *= ((i + 1) * y) / ((n - i) * x)
+            r += term
+    else:
+        # the top term underflows: start from just above the mode
+        start = max(int(n * x), k + 2)
+        r = math.pow(x, start) * math.pow(y, n - start) * _binom(n, start)
+        if r == 0.0:
+            for i in range(start - 1, k, -1):
+                r += math.pow(x, i) * math.pow(y, n - i) * _binom(n, i)
+        else:
+            term = first = r
+            for i in range(start - 1, k, -1):
+                term *= ((i + 1) * y) / ((n - i) * x)
+                r += term
+            term = first
+            for i in range(start + 1, n + 1):
+                term *= (n - i + 1) * x / (i * y)
+                r += term
+    return 1.0 - r if invert else r
+
+
+def _binom(n, k):
+    """C(n, k) as Boost's binomial_coefficient rounds it, from factorials."""
+    if k in (0, n):
+        return 1.0
+    if k in (1, n - 1):
+        return float(n)
+    r = float(math.factorial(n)) / float(math.factorial(n - k))
+    return float(math.ceil(r / float(math.factorial(k)) - 0.5))
 
 
 class Check(NamedTuple):
@@ -91,17 +158,22 @@ def mollifier_checks(params) -> list:
     s_{i,j+1} followed by its reverse (softness delta_horz): in total
     d + 2 (d+1) (D-1) checks.
     """
-    d, D = params.d, params.D
+    return list(_checks(params.d, params.D, params.lambda_hat,
+                        params.delta_horz))
+
+
+@functools.lru_cache(maxsize=16)
+def _checks(d, D, lambda_hat, delta_horz) -> tuple:
     checks = [Check(f"diag[{i}]", (i, 1), (i + 1, 0),
-                    1.0 / (math.e * params.lambda_hat), 1.0)
+                    1.0 / (math.e * lambda_hat), 1.0)
               for i in range(d)]
-    g, delta = math.exp(-2.0 * params.delta_horz), params.delta_horz
+    g, delta = math.exp(-2.0 * delta_horz), delta_horz
     for i in range(d + 1):
         for j in range(D - 1):
             a, b = (i, j), (i, j + 1)
             checks.append(Check(f"horz>[{i},{j}]", a, b, g, delta))
             checks.append(Check(f"horz<[{i},{j}]", b, a, g, delta))
-    return checks
+    return tuple(checks)
 
 
 @dataclass
@@ -142,7 +214,7 @@ def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid) -> list:
     d, D = params.d, params.D
     vals = _stat_table(grid, X, max_col=max(D - 1, 1))
     order = max(d, 4)
-    checks = mollifier_checks(params)
+    checks = _checks(d, D, params.lambda_hat, params.delta_horz)
     values = np.ones(X.shape[0])
     failed = np.zeros((X.shape[0], len(checks)), dtype=bool)
     if d:

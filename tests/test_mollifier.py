@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from ptfprg.gaussops import mult_close
 from ptfprg.hermite import HermitePoly, random_poly
@@ -46,6 +47,36 @@ class TestSigma:
                 d2 = (s(t0 + h) - 2 * s(t0) + s(t0 - h)) / h**2
                 assert abs(d1) <= 1e-6
                 assert abs(d2) <= 1e-6
+
+    # bit for bit where scipy's betainc is Boost's ibeta, whose finite sum
+    # sigma runs; an older betainc is held to a relative tolerance
+    BOOST = "ibeta" in (betainc.__doc__ or "")
+
+    def test_equals_betainc(self):
+        rng = np.random.default_rng(19)
+        near = 10.0 ** -np.linspace(0.0, 16.0, 161)
+        t = np.concatenate([
+            rng.uniform(-1.0, 1.0, 300), -1.0 + near, 1.0 - near,
+            [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), -1.0, 1.0,
+             np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), -3.0, 3.0,
+             -np.inf, np.inf, 0.0]])
+        for order in range(4, 13):
+            ref = betainc(order + 1, order + 1,
+                          np.clip((t + 1.0) / 2.0, 0.0, 1.0))
+            got = sigma(t, order)
+            if self.BOOST:
+                assert np.array_equal(got, ref), order
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+            assert [sigma(float(v), order) for v in t[-15:]] == \
+                got[-15:].tolist()
+
+    @pytest.mark.parametrize("t, order", [
+        (math.nan, 4), ([0.1, math.nan], 4), (0.3, -3), (0.3, 2.5),
+        (0.3, "4"), (0.3, True), (0.3, None)])
+    def test_rejects_nan_and_bad_order(self, t, order):
+        with pytest.raises(ValueError):
+            sigma(t, order)
 
     def test_all_derivatives_vanish_analytically(self):
         # sigma' is proportional to (1 - t^2)^order; its first order-1
@@ -159,6 +190,12 @@ class TestCheckCollection:
     def test_counts(self):
         assert len(mollifier_checks(choose_params(2, 1, 0.2))) == 33
         assert len(mollifier_checks(choose_params(2, 2, 0.2))) == 146
+
+    def test_fresh_list_per_call(self):
+        params = choose_params(2, 2, 0.2)
+        first = mollifier_checks(params)
+        first.clear()
+        assert len(mollifier_checks(params)) == 146
 
     def test_d0_no_checks(self):
         # degree-0 base: D = 1, no diagonal and no horizontal checks
