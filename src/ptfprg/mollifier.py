@@ -138,15 +138,15 @@ def _soft_factors(check: Check, su, sv, order) -> np.ndarray:
     lo = check.gamma * math.exp(-check.delta) * (1.0 - 1e-9)
     hi = check.gamma * math.exp(check.delta) * (1.0 + 1e-9)
     out = ((q >= hi) | (sv == 0.0)).astype(float)  # 0/0 and pos/0 pass
-    near = np.nonzero((q > lo) & (q < hi) & (sv > 0.0))
-    if len(near[0]):
-        t = np.array([math.log(v) for v in q[near].tolist()])
+    near = np.flatnonzero((q > lo) & (q < hi) & (sv > 0.0))
+    if len(near):
+        t = np.array([math.log(v) for v in q.take(near).tolist()])
         arg = (t - math.log(check.gamma)) / check.delta
         band = (arg > -1.0) & (arg < 1.0)
         f = (arg >= 1.0).astype(float)
         if band.any():
             f[band] = sigma(arg[band], order)
-        out[near] = f
+        np.put(out, near, f)
     return out
 
 
@@ -237,7 +237,7 @@ def mollifier_eval_batch(p: HermitePoly, params, X, grid: StatGrid) -> list:
                 values *= f
                 values *= r
     failed_checks = [[] for _ in range(X.shape[0])]
-    rows, cols = np.nonzero(failed)
+    rows, cols = divmod(np.flatnonzero(failed), len(checks))
     for b, k in zip(rows.tolist(), cols.tolist()):
         failed_checks[b].append(checks[k].label)
     signs = np.sign(p.eval_batch(X)).astype(int)

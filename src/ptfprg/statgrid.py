@@ -19,7 +19,9 @@ row of a (trials, N) coefficient matrix over a graded Hermite basis, each
 amplified derivative one contraction over all rows, the square one more.
 Reading the grid multiplies the Hermite design matrix at the centers with
 that coefficient matrix, one product per Hermite level, and weighs the
-levels by each column's noise factors.
+levels by each column's noise factors rho_j^l, slices of a (D+1, 2d+1)
+table built with the grid.  A grid takes a polynomial in the parameters' n
+variables of degree <= d, so a statistic has at most 2d + 1 levels.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ class StatGrid:
     cache shared across columns and evaluation points.  All randomness comes
     from (master_seed, row) substreams, so estimates are deterministic and
     scale exactly with the base polynomial (resampling a scaled base yields
-    pointwise-scaled estimates).
+    pointwise-scaled estimates).  ValueError for a polynomial whose n is
+    not the parameters' or whose degree is above their d, and for
+    mc_trials that is not an int >= 2.
     """
 
     def __init__(self, p: HermitePoly, params, master_seed=0,
@@ -127,10 +131,23 @@ class StatGrid:
         self.lam = params.lambda_bar
         self.R = params.R_bar
         self.master_seed = master_seed
+        if p.n != params.n:
+            raise ValueError(f"polynomial has n = {p.n}, the parameters "
+                             f"n = {params.n}")
+        if p.degree() > params.d:
+            raise ValueError(f"polynomial has degree {p.degree()}, above the "
+                             f"parameters' d = {params.d}")
+        if isinstance(mc_trials, bool) or not isinstance(mc_trials,
+                                                         (int, np.integer)):
+            raise ValueError(f"mc_trials = {mc_trials!r} is not an int")
         if mc_trials < 2:
             raise ValueError(f"mc_trials = {mc_trials}: a Monte Carlo row "
                              "needs at least 2 samples for an error bar")
         self.mc_trials = mc_trials
+        # row j: rho_j^l for the levels l <= 2d of a statistic's square
+        self._rho_powers = np.array([self.column_rho(j)
+                                     ** np.arange(2 * self.d + 1)
+                                     for j in range(self.D + 1)])
         self._base = _over_basis(p.support, p.vector[None, :])[1][0]
         self._rows = {0: self._exact_row(0), 1: self._exact_row(1)}
 
@@ -173,6 +190,10 @@ class StatGrid:
         return 2 * e, _square_rows(F, self.p.n, e)
 
     def _check_indices(self, i, j):
+        for k in (i, j):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise ValueError(f"grid index ({i!r}, {j!r}): {k!r} is not "
+                                 "an integer")
         if not (0 <= i <= self.d and 0 <= j <= self.D):
             raise ValueError(f"grid index ({i}, {j}) outside "
                              f"[0,{self.d}] x [0,{self.D}]")
@@ -185,8 +206,11 @@ class StatGrid:
         M_l; column j's value is sum_l rho_j^l M_l, averaged over the
         samples (one for an exact row) through the per-level sums, with the
         stderr from the level Gram matrix at each center.  Each column is
-        computed the same way whatever the other columns.
+        computed the same way whatever the other columns.  ValueError for
+        an empty column list or an index that is not an integer in range.
         """
+        if not len(cols):
+            raise ValueError(f"row {i!r}: no column to read")
         for j in cols:
             self._check_indices(i, j)
         X = _check_centers(X, self.p.n)
@@ -196,28 +220,40 @@ class StatGrid:
     def _read_row(self, i, X, cols, errors):
         """(mean, err) of row_batch for checked indices and centers.  Unless
         `errors`, err is None and the level Gram matrices are skipped; the
-        values are the same bits either way."""
+        values are the same bits either way.
+
+        Per block of centers, each level's product of the design matrix with
+        the coefficient rows is written into one (levels, B, K) buffer and
+        summed over the samples to S1.  Column j's values are the slice
+        rho_j^(0..deg) of the grid's power table times S1, all columns in one
+        stacked vector-matrix call giving a (J, B) buffer, divided by K and
+        transposed once into the block's rows of the result.
+        """
         deg, Q = self._row_coeffs(i)
         basis = _basis(self.p.n, deg)
         bounds = np.searchsorted(basis.sum(axis=1), np.arange(deg + 2))
-        powers = [self.column_rho(j) ** np.arange(deg + 1) for j in cols]
+        powers = self._rho_powers[cols, :deg + 1]
         K = Q.shape[0]
-        mean = np.zeros((X.shape[0], len(cols)))
+        mean = np.empty((X.shape[0], len(cols)))
         err = np.zeros_like(mean) if errors else None
         mc_err = errors and K > 1
         step = max(1, BLOCK_ELEMS // ((deg + 1) * K))
         for b0 in range(0, X.shape[0], step):
             H = _design(X[b0:b0 + step], basis)
             # M[l, b, t]: level-l value of sample t's square at center b
-            M = np.stack([H[:, lo:hi] @ Q[:, lo:hi].T
-                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+            M = np.empty((deg + 1, len(H), K))
+            for l, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                np.matmul(H[:, lo:hi], Q[:, lo:hi].T, out=M[l])
             S1 = M.sum(axis=2)
-            S2 = np.einsum("lbt,mbt->lmb", M, M) if mc_err else None
-            for c, pw in enumerate(powers):
-                m = pw @ S1 / K
-                mean[b0:b0 + step, c] = m
-                if mc_err:
-                    var = np.maximum(pw @ (pw @ S2) / K - m**2, 0.0)
+            # a stack of vector-matrix products, one per column: each column
+            # keeps the bits of a read of it alone, which a single matrix
+            # product of all columns would not
+            V = (powers[:, None, :] @ S1)[:, 0]
+            m = np.divide(V.T, K, out=mean[b0:b0 + step])
+            if mc_err:
+                S2 = np.einsum("lbt,mbt->lmb", M, M)
+                for c, pw in enumerate(powers):
+                    var = np.maximum(pw @ (pw @ S2) / K - m[:, c]**2, 0.0)
                     err[b0:b0 + step, c] = np.sqrt(var / K)
         return mean, err
 

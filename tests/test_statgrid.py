@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from ptfprg.seeding import substream
 from ptfprg.statgrid import (PolySampler, StatGrid, grid_csv,
                              stat_identities_check)
 from sampling_reference import reference_samples, rows_of
+from statgrid_reference import reference_read_row
 
 RNG = np.random.default_rng(40)
 
@@ -148,6 +150,32 @@ class TestStatValues:
             with pytest.raises(ValueError):
                 StatGrid(p, params, mc_trials=trials)
 
+    @pytest.mark.parametrize("trials", [20.5, 20.0, True, "20", None])
+    def test_rejects_non_int_trials(self, trials):
+        p = random_poly(2, 2, RNG)
+        with pytest.raises(ValueError, match="is not an int"):
+            StatGrid(p, make_params(), mc_trials=trials)
+
+    def test_accepts_numpy_int_trials(self):
+        p = random_poly(2, 2, np.random.default_rng(25))
+        X = np.random.default_rng(26).standard_normal((3, 2))
+        a = StatGrid(p, make_params(), master_seed=2, mc_trials=40)
+        b = StatGrid(p, make_params(), master_seed=2,
+                     mc_trials=np.int64(40))
+        assert np.array_equal(a.row_batch(2, X, [0, 1])[0],
+                              b.row_batch(2, X, [0, 1])[0])
+
+    def test_rejects_polynomial_outside_parameters(self):
+        params = make_params(n=2, d=2)
+        with pytest.raises(ValueError, match="degree 3, above the "
+                                             "parameters' d = 2"):
+            StatGrid(random_poly(2, 3, np.random.default_rng(27)), params)
+        with pytest.raises(ValueError, match="n = 3, the parameters n = 2"):
+            StatGrid(random_poly(3, 2, np.random.default_rng(28)), params)
+        # lower degrees and the zero polynomial stay accepted
+        StatGrid(random_poly(2, 1, np.random.default_rng(29)), params)
+        StatGrid(HermitePoly(2, {}), params)
+
     def test_mc_brackets_exact_rows(self):
         p = random_poly(2, 2, RNG)
         params = make_params()
@@ -244,6 +272,86 @@ class TestBatchedRows:
         for i in (2, 3):  # both Monte Carlo rows span several blocks
             deg, Q = grid._row_coeffs(i)
             assert len(X) > hermite.BLOCK_ELEMS // ((deg + 1) * len(Q))
+
+    @pytest.mark.parametrize("errors", [False, True])
+    @pytest.mark.parametrize("coupling", ["analysis", None])
+    def test_read_matches_reference(self, errors, coupling):
+        # bit for bit the first implementation's read, on a d = 3 grid at
+        # the default trials: rows 2 and 3 are Monte Carlo rows whose blocks
+        # (8 and 26 centers) split the 30 centers, exact rows 0 and 1 take
+        # one block; the mollifier's two column ranges, unsorted and
+        # repeated columns, and the last column alone
+        kw = {"coupling": coupling} if coupling else {"lambda_exp": 1.0,
+                                                      "M": 16}
+        params = choose_params(3, 3, 0.2, **kw)
+        p = random_poly(3, 3, np.random.default_rng(17))
+        grid = StatGrid(p, params, master_seed=9)
+        X = np.random.default_rng(18).standard_normal((30, 3))
+        D = params.D
+        for cols in (list(range(D)), list(range(D + 1)),
+                     [5, 0, D, 5, 2, 2], [D]):
+            for i in range(params.d + 1):
+                got, got_err = grid._read_row(i, X, cols, errors)
+                want, want_err = reference_read_row(grid, i, X, cols, errors)
+                assert np.array_equal(got, want), (i, cols)
+                if errors:
+                    assert np.array_equal(got_err, want_err), (i, cols)
+                else:
+                    assert got_err is None
+        steps = [hermite.BLOCK_ELEMS // ((deg + 1) * len(Q))
+                 for deg, Q in map(grid._row_coeffs, range(4))]
+        assert steps[2] == 8 and steps[3] < len(X) <= min(steps[:2])
+
+    def test_read_matches_reference_on_high_degree_rows(self):
+        # more Hermite levels than centers and one center per block
+        params = choose_params(2, 4, 0.2, lambda_exp=1.0, M=16)
+        p = random_poly(2, 4, np.random.default_rng(19))
+        grid = StatGrid(p, params, master_seed=3, mc_trials=30_000)
+        X = np.random.default_rng(20).standard_normal((3, 2))
+        cols = [params.D, 1, 0]
+        for i in range(params.d + 1):
+            got = grid._read_row(i, X, cols, errors=True)
+            want = reference_read_row(grid, i, X, cols, errors=True)
+            assert np.array_equal(got[0], want[0]), i
+            assert np.array_equal(got[1], want[1]), i
+        deg, Q = grid._row_coeffs(2)
+        assert hermite.BLOCK_ELEMS // ((deg + 1) * len(Q)) == 1
+
+    @pytest.mark.parametrize("i, cols, bad", [
+        (1.5, [0], 1.5), (1.0, [0], 1.0), (True, [0], True),
+        (np.float64(1.0), [0], np.float64(1.0)), (1, [1.5], 1.5),
+        (1, [0, 1.0], 1.0), (1, [True], True),
+        (1, [np.bool_(True)], np.bool_(True)),
+        (1, np.array([0.0, 1.0]), np.float64(0.0))])
+    def test_row_batch_rejects_non_integer_index(self, i, cols, bad):
+        grid = StatGrid(random_poly(2, 2, np.random.default_rng(21)),
+                        make_params(), master_seed=1, mc_trials=20)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{bad!r} is not an integer")):
+            grid.row_batch(i, np.zeros((1, 2)), cols)
+
+    def test_row_batch_rejects_empty_columns(self):
+        grid = StatGrid(random_poly(2, 2, np.random.default_rng(22)),
+                        make_params(), master_seed=1, mc_trials=20)
+        for cols in ([], np.array([], dtype=int)):
+            with pytest.raises(ValueError, match="no column to read"):
+                grid.row_batch(1, np.zeros((1, 2)), cols)
+
+    def test_row_batch_accepts_numpy_integers(self):
+        params = make_params()
+        grid = StatGrid(random_poly(2, 2, np.random.default_rng(23)),
+                        params, master_seed=1, mc_trials=20)
+        X = np.random.default_rng(24).standard_normal((4, 2))
+        for i in range(params.d + 1):
+            want = grid.row_batch(i, X, [0, 3, params.D])
+            for got in (grid.row_batch(np.int64(i), X,
+                                       np.array([0, 3, params.D])),
+                        grid.row_batch(np.int32(i), X,
+                                       [np.uint8(0), np.int16(3),
+                                        np.int64(params.D)])):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[2] == want[2]
 
     def test_cold_row_build_memory_bounded(self):
         # zoom and linearization tables plus the sample blocks stay small;
