@@ -373,6 +373,14 @@ def _poly_batch(cfg):
     return out
 
 
+def _pmf_table(top, lam):
+    """(top + 1, top + 1): row m is binom_pmf_row(m, lam), zero past m."""
+    table = np.zeros((top + 1, top + 1))
+    for m in range(top + 1):
+        table[m, :m + 1] = binom_pmf_row(m, lam)
+    return table
+
+
 def check_zoom_weight_identity(cfg):
     """Average squared zoom coefficient vs. the binomial mixing of squared
     input coefficients, per output index, to 1e-9 relative."""
@@ -381,16 +389,19 @@ def check_zoom_weight_identity(cfg):
     for g in _poly_batch(cfg):
         lam = float(rng.uniform(0.05, 0.95))
         cpolys = zoom_coefficient_polys(g, lam)
-        for beta, cpoly in cpolys.items():
-            lhs = cpoly.sq2norm()
-            rhs = 0.0
-            for gamma, c in g.coeffs.items():
-                if all(gg >= bb for gg, bb in zip(gamma, beta)):
-                    pr = 1.0
-                    for gg, bb in zip(gamma, beta):
-                        pr *= binom_pmf_row(gg, lam)[bb]
-                    rhs += pr * c * c
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+        lhs = np.array([cpoly.sq2norm() for cpoly in cpolys.values()])
+        # pr[beta, gamma] = prod_k Pr[Bin(gamma_k, lam) = beta_k], a running
+        # product in coordinate order; 0 unless gamma >= beta
+        B, S = np.array(list(cpolys)), g.support
+        pmf = _pmf_table(g.degree(), lam)
+        pr = pmf[S[:, 0], B[:, :1]]
+        for k in range(1, g.n):
+            pr = pr * pmf[S[:, k], B[:, k:k + 1]]
+        # sum_gamma pr c c left to right: cumsum is sequential, and the
+        # zero terms of gamma not >= beta leave the running sum unchanged
+        rhs = np.cumsum(pr * g.vector * g.vector, axis=1)[:, -1]
+        rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+        worst = max(worst, float(rel.max()))
     return {"pass": worst <= 1e-9, "max_rel_err": worst}
 
 
@@ -402,12 +413,16 @@ def check_zoom_level_identity(cfg):
         lam = float(rng.uniform(0.05, 0.95))
         cpolys = zoom_coefficient_polys(g, lam)
         dmax = g.degree()
+        norms = [[] for _ in range(dmax + 1)]
+        for b, cp in cpolys.items():
+            norms[total_degree(b)].append(cp.sq2norm())
+        weights = [g.weight_at_level(M) for M in range(dmax + 1)]
+        pmf = _pmf_table(dmax, lam)
+        floor = 1e-12 * g.sq2norm()
         for mlev in range(dmax + 1):
-            lhs = sum(cp.sq2norm() for b, cp in cpolys.items()
-                      if total_degree(b) == mlev)
-            rhs = sum(binom_pmf_row(M, lam)[mlev] * g.weight_at_level(M)
-                      for M in range(mlev, dmax + 1))
-            denom = max(abs(rhs), 1e-12 * g.sq2norm(), 1e-300)
+            lhs = sum(norms[mlev])
+            rhs = sum(pmf[M, mlev] * weights[M] for M in range(mlev, dmax + 1))
+            denom = max(abs(rhs), floor, 1e-300)
             worst = max(worst, abs(lhs - rhs) / denom)
     return {"pass": worst <= 1e-9, "max_rel_err": worst}
 

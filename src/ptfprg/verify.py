@@ -1,19 +1,20 @@
 """Deterministic closed-form checks: interpolation bounds, the jigsaw
 inequality, and the stability difference formulas.
 
-This is the one module that uses arbitrary precision: the clean-fraction
-products overflow 64-bit integers almost immediately, and the Lagrange
-coefficients at the shifted nodes involve cancellations near q -> 0 that
-double precision cannot resolve.
+This is the one module that computes beyond double precision, with the
+standard library only: the clean fraction is one exact `Fraction` of two
+big-integer products, and the Lagrange coefficients at the shifted nodes,
+whose cancellations near q -> 0 double precision cannot resolve, are
+computed in `decimal` at 60 significant digits.
 """
 
 from __future__ import annotations
 
+import decimal
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .gaussops import mult_close, noise_op, stability, zoom
@@ -40,20 +41,27 @@ def clean_fraction(j: int, d: int) -> Fraction:
     top = 2 * d + 1
     if not 1 <= j <= top:
         raise ValueError(f"j = {j} outside [1, {top}]")
-    out = Fraction(1)
+    num = den = 1
     for i in range(1, top + 1):
-        if i == j:
-            continue
-        out *= Fraction(i * i, i * i - j * j)
-    return out
+        if i != j:
+            num *= i * i
+            den *= i * i - j * j
+    return Fraction(num, den)
+
+
+# 60 significant digits; a division by a zero node difference raises
+_LAGRANGE_CONTEXT = decimal.Context(
+    prec=60, rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.DivisionByZero, decimal.InvalidOperation, decimal.Overflow])
 
 
 def lagrange_l0(d: int, q: float):
     """Lagrange basis values l_j(0), j = 1..2d+1, at the shifted nodes.
 
     Nodes are x_i = (2/q) (1 - (1-q)^{i^2 / 2}); as q -> 0 they approach i^2
-    and l_j(0) approaches the clean fraction.  Computed at 60 decimal
-    digits; warns (but still computes) when q exceeds 1/d^10.
+    and l_j(0) approaches the clean fraction.  Computed in `decimal` at 60
+    significant digits; warns (but still computes) when q exceeds 1/d^10,
+    and raises ValueError where two nodes are equal at that precision.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -63,18 +71,21 @@ def lagrange_l0(d: int, q: float):
         warnings.warn(f"q = {q} above the coefficient-bound regime 1/d^10",
                       stacklevel=2)
     count = 2 * d + 1
-    with mpmath.workdps(60):
-        one_m_q = mpmath.mpf(1) - mpmath.mpf(q)
-        root = mpmath.sqrt(one_m_q)
-        nodes = [(2 / mpmath.mpf(q)) * (1 - root ** (i * i))
-                 for i in range(1, count + 1)]
+    with decimal.localcontext(_LAGRANGE_CONTEXT):
+        qd = decimal.Decimal(q)  # exact
+        root = (1 - qd).sqrt()
+        nodes = [(2 / qd) * (1 - root ** (i * i)) for i in range(1, count + 1)]
         out = []
-        for j in range(count):
-            v = mpmath.mpf(1)
-            for m in range(count):
-                if m != j:
-                    v *= (-nodes[m]) / (nodes[j] - nodes[m])
-            out.append(float(v))
+        try:
+            for j in range(count):
+                v = decimal.Decimal(1)
+                for m in range(count):
+                    if m != j:
+                        v *= (-nodes[m]) / (nodes[j] - nodes[m])
+                out.append(float(v))
+        except (decimal.DivisionByZero, decimal.InvalidOperation) as exc:
+            raise ValueError(f"lagrange_l0(d = {d}, q = {q}): nodes coincide "
+                             "at 60 significant digits") from exc
     return out
 
 

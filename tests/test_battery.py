@@ -2,8 +2,9 @@
 scipy.special.ndtr, its KS p-value and chi-square median against
 scipy.stats), the guards that no ptfprg code path imports scipy.stats and
 that set-up imports no scipy at all (a cold import of scipy.special costs
-about half a process's set-up), and negative controls for the exhaustive
-k-wise check."""
+about half a process's set-up), the guard that a battery run loads no
+mpmath, the zoom identity checks against their first Python-loop forms, and
+negative controls for the exhaustive k-wise check."""
 
 import ast
 import math
@@ -21,8 +22,11 @@ import ptfprg
 from ptfprg import battery
 from ptfprg.battery import (_MAXLOG, BatteryConfig, _block_is_uniform,
                             _ks_norm, _kstwo_sf, _ndtr, builtin_suite,
-                            check_kwise_exhaustive, run_battery)
+                            check_kwise_exhaustive, check_zoom_level_identity,
+                            check_zoom_weight_identity, run_battery)
 from ptfprg.kwise import KWiseSpec
+from battery_reference import (reference_zoom_level_identity,
+                               reference_zoom_weight_identity)
 
 SRC = Path(ptfprg.__file__).resolve().parent
 KS_NS = (10_000, 20_000, 50_000)
@@ -60,6 +64,28 @@ def test_no_code_path_imports_scipy_stats():
                        text=True, env=env)
     assert r.returncode == 0, r.stderr[-2000:]
     assert r.stdout == "False []\n"
+
+
+def test_battery_run_imports_no_mpmath():
+    # mpmath is the tests' oracle for verify.lagrange_l0, not a dependency
+    script = (
+        "import sys\n"
+        "import ptfprg.cli\n"
+        "from ptfprg.battery import BatteryConfig, run_battery\n"
+        "assert run_battery(BatteryConfig(seed=11, trials=400))['pass']\n"
+        "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stdout == "False\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_zoom_identities_equal_reference(seed):
+    cfg = BatteryConfig(seed=seed)
+    assert check_zoom_weight_identity(cfg) == reference_zoom_weight_identity(cfg)
+    assert check_zoom_level_identity(cfg) == reference_zoom_level_identity(cfg)
 
 
 def _module_level_imports(tree):

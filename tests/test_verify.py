@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ptfprg.hermite import HermitePoly, random_poly
 from ptfprg.verify import (clean_fraction, derived_inner_poly, jigsaw_check,
                            jigsaw_sides, lagrange_l0, smoothing_chain_experiment,
                            stability_closed_forms)
+from verify_reference import reference_clean_fraction, reference_lagrange_l0
 
 RNG = np.random.default_rng(70)
 
@@ -44,6 +46,19 @@ class TestCleanFraction:
             den *= i * i - 4
         assert v == Fraction(num, den)
 
+    def test_equals_per_factor_product(self):
+        for d in range(1, 21):
+            for j in range(1, 2 * d + 2):
+                assert clean_fraction(j, d) == reference_clean_fraction(j, d)
+
+    def test_equals_binomial_closed_form(self):
+        # prod_{i != j} i^2/(i^2 - j^2) = 2 (-1)^(j-1) C(2N, N-j) / C(2N, N)
+        for d in range(1, 41):
+            N = 2 * d + 1
+            for j in range(1, N + 1):
+                assert clean_fraction(j, d) == Fraction(
+                    2 * (-1) ** (j - 1) * comb(2 * N, N - j), comb(2 * N, N))
+
 
 class TestLagrange:
     def test_partition_of_unity(self):
@@ -72,6 +87,24 @@ class TestLagrange:
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             lagrange_l0(2, 0.0)
+
+    def test_equals_mpmath_bit_for_bit(self):
+        qs = [*np.logspace(-14, -2, 61).tolist(), 1e-11, 1e-12]
+        with warnings.catch_warnings():  # q above 1/d^10 warns
+            warnings.simplefilter("ignore")
+            got = [lagrange_l0(d, q) for d in range(1, 11) for q in qs]
+        want = [reference_lagrange_l0(d, q) for d in range(1, 11) for q in qs]
+        assert sum(map(len, got)) == 7560
+        assert got == want
+
+    @pytest.mark.parametrize("d", [10, 12])
+    def test_coinciding_nodes_raise(self, d):
+        # at q = 0.5 the top nodes (2/q)(1 - 2^{-i^2/2}) round to 2/q at 60
+        # digits; mpmath's values ran to +-inf at d = 10 and it divided by
+        # zero at d = 12
+        with pytest.warns(UserWarning, match="regime"):
+            with pytest.raises(ValueError, match=f"d = {d}, q = 0.5"):
+                lagrange_l0(d, 0.5)
 
 
 class TestSmoothingChain:
