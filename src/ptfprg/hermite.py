@@ -12,7 +12,12 @@ the read-only (T,) vector of their coefficients, none exactly zero.  Input
 is validated where it enters (the ``{alpha: c}`` constructor,
 ``from_monomial_basis``, ``from_json_dict``); operators, and the batch
 kernels of the statistics grid, work on coefficient rows over a graded
-support, summing over terms left to right in graded order.
+support.  ``eval_batch`` is a BLAS matrix-vector product per block of
+points, and BLAS may split and reorder a row's sum over terms by the row's
+position in its block.  So a value's last bits depend on the BLAS build,
+on the block size and on where the point falls in its block; ``eval``, a
+block of one point, may differ from the batch value in the last bit.
+Block sizes are fixed, so a run is repeatable on one machine.
 """
 
 from __future__ import annotations
@@ -32,10 +37,15 @@ __all__ = [
     "random_poly",
 ]
 
-# Elements per temporary: batch kernels take points or samples in blocks
-# (each one's arithmetic is the same whatever the block) so that points x
-# terms stays bounded.
+# Elements per temporary: batch kernels take points or samples in blocks so
+# that points x terms stays bounded.  Where a block's result is a BLAS
+# product (eval_batch, grid reads, Monte Carlo rows), a value's last bits may
+# depend on the block size and on its row's place in the block.
 BLOCK_ELEMS = 1 << 18
+# eval_batch's own budget: its design matrix and the two temporaries that
+# build it, 256 KiB each, fit a 2 MiB L2 cache; at BLOCK_ELEMS the design
+# costs about three times as much per entry.
+_EVAL_ELEMS = 1 << 15
 
 
 def total_degree(alpha) -> int:
@@ -216,14 +226,22 @@ class HermitePoly:
 
     def eval_batch(self, X):
         """Evaluate at a batch of points, shape (B, n) -> (B,): the design
-        matrix of the support times the coefficient vector."""
+        matrix of the support times the coefficient vector, in blocks of
+        about _EVAL_ELEMS design entries.  A point that is not finite is a
+        ValueError naming its row."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"batch has shape {X.shape}, expected (B, {self.n})")
         out = np.empty(X.shape[0])
-        step = max(1, BLOCK_ELEMS // max(len(self.vector), 1))
+        step = max(1, _EVAL_ELEMS // max(len(self.vector), 1))
         for b in range(0, X.shape[0], step):
-            out[b:b + step] = _design(X[b:b + step], self.support) @ self.vector
+            block = X[b:b + step]
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                row = b + int(np.argmax(bad))
+                raise ValueError(f"point {row} is not finite: "
+                                 f"{X[row].tolist()}")
+            out[b:b + step] = _design(block, self.support) @ self.vector
         return out
 
     # -- serialization ------------------------------------------------------

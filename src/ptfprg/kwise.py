@@ -59,7 +59,7 @@ IRREDUCIBLE = {
 
 _TABLE_MAX_M = 16  # unused here; perfbench/tracer.py still reads it
 
-# rows expand_batch gathers at once, and prg.generate_batch stacks blocks to
+# rows expand_batch gathers at once, and prg.generate_batch's expansion unit
 _BLOCK_ROWS = 4096
 
 

@@ -130,18 +130,20 @@ def choose_params(n, d, eps, *, lambda_exp=4.0, c_lambda=1.0, k_mult=16,
     )
 
 
-def _block_coeffs(params: PrgParams, master_seed, t, count):
-    """Coefficient words for block t: (count, 2*k_indep) uints below 2^m,
-    equal to `substream(master_seed, "block", t).integers(0, 2**m,
-    (count, 2*k_indep), kwise.word_dtype(m))`, read from the stream's raw
-    64-bit draws."""
+def _block_coeffs(params: PrgParams, bit_generator, count):
+    """The next `count` rows of coefficient words from a block's bit
+    generator: (count, 2*k_indep) uints below 2^m, read from its raw 64-bit
+    draws.  From `substream(master_seed, "block", t).bit_generator` they
+    equal that stream's `integers(0, 2**m, (count, 2*k_indep),
+    kwise.word_dtype(m))`; a draw that ends on a whole 64-bit word, as every
+    `kwise._BLOCK_ROWS`-row draw does, leaves the generator where the next
+    rows of that one draw start."""
     wspec = kwise.gaussian_word_spec(params.block_spec())
     m = kwise.field_width(wspec)
     dtype = kwise.word_dtype(m)
     bits = 8 * dtype.itemsize
     size = count * wspec.k
-    raw = substream(master_seed, "block", t).bit_generator.random_raw(
-        -(-size * bits // 64))
+    raw = bit_generator.random_raw(-(-size * bits // 64))
     # integers() over a range of 2^m keeps the top m bits of each word and
     # never rejects (Lemire's multiply-shift), taking a 64-bit draw's narrower
     # words low bits first, as this little-endian view does on any host
@@ -161,12 +163,14 @@ def generate_batch(params: PrgParams, master_seed, count,
     replacement-method hybrid w_t with t = gaussian_blocks.  t = 0 is the
     generator itself and t = L a pure Gaussian sample.
 
-    Below `kwise._BLOCK_ROWS` samples, consecutive k-wise blocks are stacked
-    to at most `_BLOCK_ROWS` rows per expansion call, so a small batch does
-    not pay the expansion's fixed per-call cost once per block.  Each block
-    still draws from its own stream, the expansion and Box-Muller act row by
-    row, and blocks are added in block order: the bytes are those of one
-    call per block.
+    The k-wise blocks are expanded in units of at most `kwise._BLOCK_ROWS`
+    rows, so that the temporaries stay bounded whatever `count`.  Below
+    that many samples a unit stacks whole consecutive blocks, so a small
+    batch does not pay the expansion's fixed per-call cost once per block;
+    from there up a unit is a `_BLOCK_ROWS`-row chunk of one block, drawn by
+    continuing that block's own stream.  The expansion and Box-Muller act
+    row by row and every row adds its blocks in block order, so the bytes
+    are those of one call per block.
     """
     if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
             or count < 1):
@@ -178,16 +182,24 @@ def generate_batch(params: PrgParams, master_seed, count,
         raise ValueError(f"hybrid index {gaussian_blocks} outside "
                          f"[0, {params.L}]")
     spec = params.block_spec()
+    rows = kwise._BLOCK_ROWS
     acc = np.zeros((count, params.n))
     for b in range(gaussian_blocks):
         gen = substream(master_seed, "hybrid-gauss", b)
-        acc += gen.standard_normal((count, params.n))
-    stack = max(1, kwise._BLOCK_ROWS // count)  # blocks per expansion call
+        for r0 in range(0, count, rows):
+            part = acc[r0:r0 + rows]
+            part += gen.standard_normal(part.shape)
+    stack = max(1, rows // count)  # blocks per unit
     for b0 in range(gaussian_blocks, params.L, stack):
-        coeffs = [_block_coeffs(params, master_seed, b, count)
-                  for b in range(b0, min(b0 + stack, params.L))]
-        Z = kwise.kwise_gaussian_batch(
-            coeffs[0] if len(coeffs) == 1 else np.concatenate(coeffs), spec)
-        for z in Z.reshape(len(coeffs), count, params.n):
-            acc += z
-    return math.sqrt(params.lambda_bar) * acc
+        streams = [substream(master_seed, "block", b).bit_generator
+                   for b in range(b0, min(b0 + stack, params.L))]
+        for r0 in range(0, count, rows):
+            part = acc[r0:r0 + rows]
+            coeffs = [_block_coeffs(params, s, len(part)) for s in streams]
+            Z = kwise.kwise_gaussian_batch(
+                coeffs[0] if len(coeffs) == 1 else np.concatenate(coeffs),
+                spec)
+            for z in Z.reshape(len(coeffs), len(part), params.n):
+                part += z
+    acc *= math.sqrt(params.lambda_bar)
+    return acc

@@ -44,6 +44,38 @@ class TestEval:
         for i in range(7):
             assert b[i] == pytest.approx(g.eval(X[i]), rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, bad):
+        g = random_poly(3, 2, np.random.default_rng(0))
+        X = np.zeros((5, 3))
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match=r"^point 3 is not finite"):
+            g.eval_batch(X)
+        with pytest.raises(ValueError, match=r"^point 0 is not finite"):
+            g.eval(X[3])
+
+    def test_rejects_non_finite_point_past_the_first_block(self):
+        # the row is named in the whole batch, not in its block
+        g = random_poly(2, 2, np.random.default_rng(0))
+        X = np.zeros((3 * hermite._EVAL_ELEMS, 2))
+        X[-1, 0] = math.nan
+        with pytest.raises(ValueError,
+                           match=rf"^point {len(X) - 1} is not finite"):
+            g.eval_batch(X)
+
+    def test_blocks_keep_memory_bounded(self):
+        # 200k points at n = 8, d = 3 (165 terms): beyond the input and the
+        # output, the temporaries of one block stay under 2 MiB
+        g = random_poly(8, 3, np.random.default_rng(3))
+        X = np.random.default_rng(4).standard_normal((200_000, 8))
+        tracemalloc.start()
+        try:
+            out = g.eval_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 2 * 2**20
+
 
 class TestNormsAndMoments:
     def test_mean_var_example(self):

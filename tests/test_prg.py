@@ -340,9 +340,11 @@ class TestBlockStacking:
     @pytest.mark.parametrize("args, kw, count", [
         ((2, 1, 0.2), {}, 1),  # gen's defaults: L = 625, M = 32
         ((4, 3, 0.2), dict(lambda_exp=2.0, M=16), 500),  # L = 225
+        ((8, 2, 0.2), dict(lambda_exp=1.0, M=16), 50_000),  # L = 10
     ])
     def test_cold_peak_memory(self, args, kw, count):
-        # stacking is bounded by kwise._BLOCK_ROWS rows, not by L
+        # a unit is bounded by kwise._BLOCK_ROWS rows, not by L or count:
+        # beyond the (count, n) output, the peak stays under 16 MiB
         p = choose_params(*args, **kw)
         kwise._byte_tables.cache_clear()
         tracemalloc.start()
@@ -351,7 +353,22 @@ class TestBlockStacking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 16 * 2**20 + count * p.n * 8
+
+
+class TestStreamedBlocks:
+    """From kwise._BLOCK_ROWS samples up, each block is drawn and expanded
+    in _BLOCK_ROWS-row chunks of its own stream; the bytes are those of one
+    call per block."""
+
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8192, 8193, 12289])
+    @pytest.mark.parametrize("M", [16, 32])  # uint16 and uint32 words
+    def test_matches_per_block_reference(self, count, M):
+        assert kwise._BLOCK_ROWS == 4096
+        p = choose_params(2, 1, 0.5, lambda_exp=2.0, M=M)  # L = 4
+        for t in (0, 1, p.L):
+            assert np.array_equal(generate_batch(p, 5, count, gaussian_blocks=t),
+                                  reference_generate(p, 5, count, t)), t
 
 
 class TestCoefficientDraw:
@@ -367,11 +384,22 @@ class TestCoefficientDraw:
         for count, k_indep in [(1, 32), (3, 96), (7, 3), (500, 96), (1, 1),
                                (3, 3)]:
             p = dataclasses.replace(base, k_indep=k_indep, M=m)
-            got = _block_coeffs(p, 9, 4, count)
+            got = _block_coeffs(p, substream(9, "block", 4).bit_generator,
+                                count)
             want = substream(9, "block", 4).integers(
                 0, 1 << m, size=(count, 2 * k_indep), dtype=dtype)
             assert got.dtype == want.dtype, (count, k_indep)
             assert np.array_equal(got, want), (count, k_indep)
+        # a kwise._BLOCK_ROWS-row read ends on a whole 64-bit draw, so the
+        # next read from the same bit generator continues one integers() draw
+        p = dataclasses.replace(base, k_indep=3, M=m)
+        rows = kwise._BLOCK_ROWS
+        gen = substream(9, "block", 4).bit_generator
+        got = np.concatenate([_block_coeffs(p, gen, rows),
+                              _block_coeffs(p, gen, 5)])
+        want = substream(9, "block", 4).integers(
+            0, 1 << m, size=(rows + 5, 6), dtype=dtype)
+        assert np.array_equal(got, want)
 
 
 class TestFoolingOracles:
